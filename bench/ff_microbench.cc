@@ -1,16 +1,14 @@
 /**
  * @file
  * Fast-forward dispatch microbenchmark: the cost of *how* an
- * instruction is dispatched, isolated from what it computes. Three
+ * instruction is dispatched, isolated from what it computes. Two
  * variants run the same workload (164.gzip) through FunctionalFast
  * with BBV tracking off:
  *
  *  - interp-step: the unbatched step() interpreter (the differential
  *    oracle; decode on every instruction).
- *  - interp-fastop: the pre-decoded FastOp batch loop (the default
+ *  - interp-fastop: the pre-decoded FastOp batch loop (the
  *    fast-forward path).
- *  - superblock: threaded-code superblock traces with computed-goto
- *    dispatch (PGSS_BACKEND=superblock).
  *
  * Since architectural work is identical across variants, the ops/s
  * deltas are pure dispatch cost. Best-of-3 per variant: the numbers
@@ -34,11 +32,10 @@ using namespace pgss;
 namespace
 {
 
-/** One dispatch variant: a backend plus the fast-path switch. */
+/** One dispatch variant: a name plus the fast-path switch. */
 struct Variant
 {
     const char *name;
-    sim::ExecBackend backend;
     bool fast_path;
 };
 
@@ -47,16 +44,15 @@ double
 measure(const workload::BuiltWorkload &built, const Variant &v,
         std::uint64_t total_ops)
 {
-    sim::EngineConfig config = bench::benchConfig();
-    config.backend = v.backend;
+    const sim::EngineConfig config = bench::benchConfig();
 
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
         auto engine = std::make_unique<sim::SimulationEngine>(
             built.program, config);
         engine->setFastPathEnabled(v.fast_path);
-        // Warm: trace formation / decode-table build happens here,
-        // so the timed region sees steady-state dispatch only.
+        // Warm: the decode-table build happens here, so the timed
+        // region sees steady-state dispatch only.
         engine->run(200'000, sim::SimMode::FunctionalFast);
 
         const auto t0 = std::chrono::steady_clock::now();
@@ -87,7 +83,7 @@ main(int argc, char **argv)
     bench::init(argc, argv, "ff_microbench");
     bench::printHeader(
         "Fast-forward dispatch microbenchmark",
-        "Same workload, same architectural work, three dispatch "
+        "Same workload, same architectural work, two dispatch "
         "mechanisms; deltas are pure dispatch cost. Best-of-3.");
 
     // Fixed small gzip build (as fig13's rate harness uses): the
@@ -96,31 +92,28 @@ main(int argc, char **argv)
         workload::buildWorkload("164.gzip", 0.05);
 
     // Enough ops that dispatch dominates timer noise, small enough
-    // for a CI smoke step (3 variants x 3 reps x 4M ops).
+    // for a CI smoke step (2 variants x 3 reps x 4M ops).
     const std::uint64_t total_ops = 4'000'000;
 
     const Variant variants[] = {
-        {"interp-step", sim::ExecBackend::Interp, false},
-        {"interp-fastop", sim::ExecBackend::Interp, true},
-        {"superblock", sim::ExecBackend::Superblock, true},
+        {"interp-step", false},
+        {"interp-fastop", true},
     };
 
-    double rate[3] = {};
-    for (int i = 0; i < 3; ++i)
+    double rate[2] = {};
+    for (int i = 0; i < 2; ++i)
         rate[i] = measure(built, variants[i], total_ops);
 
     util::Table t("dispatch cost (164.gzip, FunctionalFast, no BBV)");
     t.setHeader({"variant", "ops/s", "host MIPS", "vs interp-step"});
-    for (int i = 0; i < 3; ++i)
+    for (int i = 0; i < 2; ++i)
         t.addRow({variants[i].name, util::Table::fmtSci(rate[i], 3),
                   util::Table::fmt(rate[i] / 1e6, 1),
                   util::Table::fmt(rate[i] / rate[0], 2) + "x"});
     t.print(std::cout);
 
     std::printf("\nexpected shape: fastop removes per-instruction "
-                "decode; superblock removes\nthe dispatch loop "
-                "itself (threaded code + in-trace branch "
-                "unrolling).\n");
+                "decode and the DynInst fill.\n");
     bench::finish();
     return 0;
 }

@@ -38,9 +38,8 @@ namespace
 class RateRunner
 {
   public:
-    RateRunner(bool bbv, sim::SimMode mode,
-               sim::ExecBackend backend = sim::ExecBackend::Default)
-        : bbv_(bbv), mode_(mode), backend_(backend),
+    RateRunner(bool bbv, sim::SimMode mode)
+        : bbv_(bbv), mode_(mode),
           built_(workload::buildWorkload("164.gzip", 0.05))
     {
         reset();
@@ -61,26 +60,21 @@ class RateRunner
     void
     reset()
     {
-        sim::EngineConfig config = bench::benchConfig();
-        if (backend_ != sim::ExecBackend::Default)
-            config.backend = backend_;
         engine_ = std::make_unique<sim::SimulationEngine>(
-            built_.program, config);
+            built_.program, bench::benchConfig());
         engine_->setHashedBbvEnabled(bbv_);
     }
 
     bool bbv_;
     sim::SimMode mode_;
-    sim::ExecBackend backend_;
     workload::BuiltWorkload built_;
     std::unique_ptr<sim::SimulationEngine> engine_;
 };
 
 void
-rateBenchmark(benchmark::State &state, bool bbv, sim::SimMode mode,
-              sim::ExecBackend backend = sim::ExecBackend::Default)
+rateBenchmark(benchmark::State &state, bool bbv, sim::SimMode mode)
 {
-    RateRunner runner(bbv, mode, backend);
+    RateRunner runner(bbv, mode);
     std::uint64_t ops = 0;
     for (auto _ : state)
         ops += runner.runChunk(100'000);
@@ -89,10 +83,9 @@ rateBenchmark(benchmark::State &state, bool bbv, sim::SimMode mode,
 
 /** Wall-clock ops/sec of one mode (for the composition section). */
 double
-measureRate(bool bbv, sim::SimMode mode,
-            sim::ExecBackend backend = sim::ExecBackend::Default)
+measureRate(bool bbv, sim::SimMode mode)
 {
-    RateRunner runner(bbv, mode, backend);
+    RateRunner runner(bbv, mode);
     runner.runChunk(200'000); // warm the harness
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t ops = 0;
@@ -120,47 +113,31 @@ main(int argc, char **argv)
     benchmark::Initialize(&argc, argv);
     benchmark::RegisterBenchmark("rate/fast_forward_with_bbv",
                                  rateBenchmark, true,
-                                 SimMode::FunctionalFast,
-                                 sim::ExecBackend::Default);
-    // The superblock threaded-code backend, timed alongside the
-    // interpreter so one report carries both backends' MIPS (the
-    // bench-history gate then covers both keys).
-    benchmark::RegisterBenchmark("rate/fast_forward_superblock_bbv",
-                                 rateBenchmark, true,
-                                 SimMode::FunctionalFast,
-                                 sim::ExecBackend::Superblock);
+                                 SimMode::FunctionalFast);
     benchmark::RegisterBenchmark("rate/functional_ff_with_bbv",
                                  rateBenchmark, true,
-                                 SimMode::FunctionalWarm,
-                                 sim::ExecBackend::Default);
+                                 SimMode::FunctionalWarm);
     benchmark::RegisterBenchmark("rate/detailed_warming_with_bbv",
                                  rateBenchmark, true,
-                                 SimMode::DetailedWarm,
-                                 sim::ExecBackend::Default);
+                                 SimMode::DetailedWarm);
     benchmark::RegisterBenchmark("rate/detailed_sim_with_bbv",
                                  rateBenchmark, true,
-                                 SimMode::DetailedMeasure,
-                                 sim::ExecBackend::Default);
+                                 SimMode::DetailedMeasure);
     benchmark::RegisterBenchmark("rate/functional_ff_no_bbv",
                                  rateBenchmark, false,
-                                 SimMode::FunctionalWarm,
-                                 sim::ExecBackend::Default);
+                                 SimMode::FunctionalWarm);
     benchmark::RegisterBenchmark("rate/detailed_warming_no_bbv",
                                  rateBenchmark, false,
-                                 SimMode::DetailedWarm,
-                                 sim::ExecBackend::Default);
+                                 SimMode::DetailedWarm);
     benchmark::RegisterBenchmark("rate/detailed_sim_no_bbv",
                                  rateBenchmark, false,
-                                 SimMode::DetailedMeasure,
-                                 sim::ExecBackend::Default);
+                                 SimMode::DetailedMeasure);
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
 
     // ---- Composition: price each technique's per-mode op counts.
     const double r_ff_bbv =
         measureRate(true, SimMode::FunctionalFast);
-    const double r_sb_bbv = measureRate(
-        true, SimMode::FunctionalFast, sim::ExecBackend::Superblock);
     const double r_warm_bbv =
         measureRate(true, SimMode::FunctionalWarm);
     const double r_det_bbv =
@@ -175,9 +152,6 @@ main(int argc, char **argv)
     std::printf("  fast-forward            %12.3e (with BBV "
                 "%12.3e)\n",
                 r_ff, r_ff_bbv);
-    std::printf("  fast-forward superblock %12.3e with BBV "
-                "(%.2fx interp)\n",
-                r_sb_bbv, r_sb_bbv / r_ff_bbv);
     std::printf("  functional fast-forward %12.3e (with BBV "
                 "%12.3e)\n",
                 r_warm, r_warm_bbv);

@@ -200,20 +200,10 @@ FunctionalCore::buildFastTable()
 }
 
 std::uint64_t
-FunctionalCore::runFast(std::uint64_t n, BbvSink *sink)
+FunctionalCore::runFast(std::uint64_t n)
 {
-    if (!sink) {
-        std::uint64_t since = 0;
-        return runFastWith(n, since,
-                           [](std::uint64_t, std::uint64_t) {});
-    }
-    // The virtual dispatch per taken branch only exists on this
-    // wrapper path; in-tree consumers that care (the engine) call
-    // runFastWith() directly with an inlinable callback.
-    return runFastWith(n, sink->pending_ops,
-                       [sink](std::uint64_t addr, std::uint64_t ops) {
-                           sink->onTakenBranch(addr, ops);
-                       });
+    std::uint64_t since = 0;
+    return runFastWith(n, since, [](std::uint64_t, std::uint64_t) {});
 }
 
 } // namespace pgss::cpu

@@ -10,14 +10,13 @@
  *  - step(): execute one instruction and fill a DynInst record with
  *    everything the timing model, branch predictors, and cache warming
  *    consume. Used by the warm and detailed modes.
- *  - runFast(): batched execution over a flat pre-decoded table
+ *  - runFastWith(): batched execution over a flat pre-decoded table
  *    (operands, immediates, and per-op behaviour resolved once at
  *    table build). No DynInst is populated; the only side channel is
- *    an optional BbvSink that receives (taken-branch address, ops)
- *    pairs, which is all BBV tracking needs. This is the
- *    functional-fast-forward hot path: >99% of simulated instructions
- *    run here, so host throughput in this loop dominates end-to-end
- *    wall clock (DESIGN.md section 9).
+ *    a taken-branch callback that receives (taken-branch address,
+ *    ops) pairs, which is all BBV tracking needs. This is the
+ *    functional-fast-forward path (DESIGN.md section 9.1); runFast()
+ *    is its no-BBV wrapper.
  */
 
 #ifndef PGSS_CPU_FUNCTIONAL_CORE_HH
@@ -77,34 +76,6 @@ divSigned(std::uint64_t a, std::uint64_t b)
 } // namespace detail
 
 /**
- * Consumer of the fast path's only side channel: one call per taken
- * control transfer, carrying the branch address and the instruction
- * count since the previous taken transfer — exactly the input the
- * hashed and full BBV trackers accumulate.
- *
- * `pending_ops` carries the count of instructions retired since the
- * last taken branch across runFast() calls (the engine mirrors it into
- * its checkpointable state between calls).
- */
-class BbvSink
-{
-  public:
-    virtual ~BbvSink() = default;
-
-    /**
-     * A control transfer was taken.
-     * @param branch_addr byte address of the transfer instruction.
-     * @param ops_since_last instructions retired since the previous
-     *        taken transfer (the transfer itself included).
-     */
-    virtual void onTakenBranch(std::uint64_t branch_addr,
-                               std::uint64_t ops_since_last) = 0;
-
-    /** Ops retired since the last taken branch (carried state). */
-    std::uint64_t pending_ops = 0;
-};
-
-/**
  * One pre-decoded fast-path operation. Destination registers are
  * remapped at table build: writes to r0 target a scratch slot past the
  * architectural file, so the dispatch loop needs no r0 check.
@@ -143,24 +114,22 @@ class FunctionalCore
 
     /**
      * Execute up to @p n instructions on the fast path (architectural
-     * state only, no DynInst records). Stops early at Halt. The
-     * pre-decoded table is built lazily on first use.
-     * @param sink optional BBV consumer; nullptr skips all taken-
-     *        branch accounting.
+     * state only, no DynInst records, no taken-branch accounting).
+     * Stops early at Halt.
      * @return instructions retired (0 when already halted).
      */
-    std::uint64_t runFast(std::uint64_t n, BbvSink *sink = nullptr);
+    std::uint64_t runFast(std::uint64_t n);
 
     /**
      * The fast-path loop itself, templated over the taken-branch
-     * callback so engine-level consumers (the BBV trackers) get a
-     * fully inlined call per taken branch instead of a virtual
-     * dispatch — runFast() is a thin wrapper over this. Defined at
-     * the bottom of this header.
+     * callback so the engine's BBV trackers get a fully inlined call
+     * per taken branch. The pre-decoded table is built lazily on
+     * first use. Defined at the bottom of this header.
      * @param ops_since_taken carried in/out across calls: instructions
      *        retired since the last taken control transfer.
      * @param on_taken invoked as on_taken(branch_addr, ops_since_last)
-     *        for every taken transfer.
+     *        for every taken transfer (the transfer itself included
+     *        in ops_since_last).
      * @return instructions retired (0 when already halted).
      */
     template <typename OnTaken>
@@ -220,7 +189,7 @@ class FunctionalCore
     std::uint64_t retired_ = 0;
     bool halted_ = false;
 
-    std::vector<FastOp> fast_table_; ///< built lazily by runFast()
+    std::vector<FastOp> fast_table_; ///< built lazily by runFastWith()
 };
 
 template <typename OnTaken>

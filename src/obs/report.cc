@@ -341,9 +341,6 @@ registerRobustnessStats()
         "ckpt.record_aborted",    "cache.quarantined",
         "cache.store_failed",     "report.write_failed",
         "journal.torn_lines",     "net.retries",
-        "trace_cache.quarantined", "trace_cache.store_failed",
-        "trace_cache.hits",        "trace_cache.misses",
-        "trace_cache.verify_rejected",
     };
     for (const char *name : robust_names)
         util::fi::counter(name);

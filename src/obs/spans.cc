@@ -54,8 +54,6 @@ spanCatName(SpanCat cat)
         return "io";
       case SpanCat::Decode:
         return "decode";
-      case SpanCat::TraceForm:
-        return "trace-form";
       case SpanCat::Other:
         return "other";
     }

@@ -70,7 +70,6 @@ enum class SpanCat : std::uint8_t
     Bench,      ///< harness orchestration (per-entry, controllers)
     Io,         ///< profile-cache and artefact file traffic
     Decode,     ///< instruction pre-decode (FastOp table build)
-    TraceForm,  ///< superblock CFG + trace formation
     Other,      ///< anything else
 };
 
@@ -274,8 +273,7 @@ class ScopedSpan
 /**
  * Open a named span for the rest of the enclosing scope.
  * @p name: string literal; @p cat: bare SpanCat enumerator (Ff,
- * Detailed, Checkpoint, Cluster, Bench, Io, Decode, TraceForm,
- * Other).
+ * Detailed, Checkpoint, Cluster, Bench, Io, Decode, Other).
  */
 #define PGSS_SPAN(name, cat)                                          \
     pgss::obs::ScopedSpan PGSS_SPAN_CONCAT(pgss_span_, __LINE__)(     \

@@ -18,14 +18,14 @@ namespace pgss::progcheck
 {
 
 /**
- * Version of the finding-JSON envelope shared by every static
- * analyzer CLI (pgss_lint, pgss_tracecheck):
+ * Version of the finding-JSON envelope emitted by the static
+ * analyzer CLI (pgss_lint):
  *   {"schema": "pgss-findings", "version": N, "tool": ...,
  *    "programs": [<per-program report objects>]}
  * Each program object carries "program", "code_size", "errors",
  * "warnings" and a "findings" array of {"code", "severity", "pc",
- * "message"} objects (tcheck findings add "trace"). pgss_report's
- * `findings` subcommand renders any artifact with this schema.
+ * "message"} objects. pgss_report's `findings` subcommand renders
+ * any artifact with this schema.
  *
  * v2: envelope introduced (v1 was pgss_lint's bare report array).
  */

@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "cpu/trace_cache.hh"
 #include "obs/perf.hh"
 #include "obs/progress.hh"
 #include "obs/spans.hh"
@@ -10,7 +9,6 @@
 #include "obs/timeline.hh"
 #include "obs/trace.hh"
 #include "sim/checkpoint.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace pgss::sim
@@ -68,43 +66,7 @@ modeSpanName(SimMode mode)
     return "engine.unknown";
 }
 
-/**
- * Backend named by PGSS_BACKEND, resolved (and any complaint voiced)
- * once per process: benches construct hundreds of engines.
- */
-ExecBackend
-envBackend()
-{
-    static const ExecBackend resolved = [] {
-        const std::string v = util::envString("PGSS_BACKEND", "interp");
-        if (v == "superblock")
-            return ExecBackend::Superblock;
-        if (v != "interp")
-            util::warn("unknown PGSS_BACKEND '%s' "
-                       "(expected interp|superblock); using interp",
-                       v.c_str());
-        return ExecBackend::Interp;
-    }();
-    return resolved;
-}
-
 } // anonymous namespace
-
-const char *
-backendName(ExecBackend backend)
-{
-    switch (backend) {
-      case ExecBackend::Default:
-        return "default";
-      case ExecBackend::Interp:
-        return "interp";
-      case ExecBackend::Superblock:
-        return "superblock";
-    }
-    return "unknown";
-}
-
-SimulationEngine::~SimulationEngine() = default;
 
 SimulationEngine::SimulationEngine(const isa::Program &program,
                                    const EngineConfig &config)
@@ -123,24 +85,12 @@ SimulationEngine::SimulationEngine(const isa::Program &program,
     pipeline_ = std::make_unique<timing::InOrderPipeline>(
         config.pipeline, *hierarchy_, *branch_unit_);
 
-    use_superblock_ =
-        (config.backend == ExecBackend::Default
-             ? envBackend()
-             : config.backend) == ExecBackend::Superblock;
-
     // Per-mode host timers are process-global so every engine (and
     // there are many per bench) accumulates into the same trajectory.
-    // The fast-forward mode reports under a per-backend key
-    // (functional_fast vs functional_fast_superblock) so the bench
-    // history tracks the two backends as separate trajectories.
-    for (int m = 0; m < 4; ++m) {
-        std::string name = std::string("mode.") +
-                           modeStatName(static_cast<SimMode>(m));
-        if (static_cast<SimMode>(m) == SimMode::FunctionalFast &&
-            use_superblock_)
-            name += "_superblock";
-        mode_perf_[m] = obs::perf().handle(name);
-    }
+    for (int m = 0; m < 4; ++m)
+        mode_perf_[m] = obs::perf().handle(
+            std::string("mode.") +
+            modeStatName(static_cast<SimMode>(m)));
 }
 
 void
@@ -154,10 +104,6 @@ SimulationEngine::reset()
         memory_->setWords(std::move(image));
     }
     core_ = std::make_unique<cpu::FunctionalCore>(program_, *memory_);
-    // The runner borrows the core it was built against; drop it so
-    // the next superblock chunk rebinds to the fresh one (the formed
-    // set itself is shared and survives in the trace cache).
-    superblock_.reset();
     hierarchy_ =
         std::make_unique<mem::CacheHierarchy>(config_.hierarchy);
     branch_unit_ =
@@ -187,51 +133,8 @@ SimulationEngine::trackBbv(const cpu::DynInst &rec)
 
 template <bool with_bbv>
 std::uint64_t
-SimulationEngine::runSuperblock(std::uint64_t n)
-{
-    if (!superblock_) {
-        superblock_ = std::make_unique<cpu::SuperblockRunner>(
-            *core_, cpu::traceCache().loadOrForm(
-                        program_, config_.superblock));
-    }
-    // The same three callback shapes as the interpreter fast path
-    // below; the backends must stay drop-in replacements for each
-    // other, including the no-BBV case never touching
-    // ops_since_taken_.
-    if constexpr (with_bbv) {
-        if (hashed_bbv_enabled_ && !full_bbv_enabled_) {
-            bbv::HashedBbv &hashed = hashed_bbv_;
-            return superblock_->run(
-                n, ops_since_taken_,
-                [&hashed](std::uint64_t addr, std::uint64_t ops) {
-                    hashed.onTakenBranch(addr, ops);
-                });
-        }
-        bbv::HashedBbv *hashed =
-            hashed_bbv_enabled_ ? &hashed_bbv_ : nullptr;
-        bbv::FullBbvCollector *full =
-            full_bbv_enabled_ ? &full_bbv_ : nullptr;
-        return superblock_->run(
-            n, ops_since_taken_,
-            [hashed, full](std::uint64_t addr, std::uint64_t ops) {
-                if (hashed)
-                    hashed->onTakenBranch(addr, ops);
-                if (full)
-                    full->onTakenBranch(addr, ops);
-            });
-    } else {
-        std::uint64_t since = 0;
-        return superblock_->run(
-            n, since, [](std::uint64_t, std::uint64_t) {});
-    }
-}
-
-template <bool with_bbv>
-std::uint64_t
 SimulationEngine::runFunctional(std::uint64_t n, bool warm)
 {
-    if (!warm && fast_path_enabled_ && use_superblock_)
-        return runSuperblock<with_bbv>(n);
     if (!warm && fast_path_enabled_) {
         // Fast-forward fast path: batched pre-decoded dispatch, no
         // DynInst population. The taken-branch callback is the only
@@ -262,7 +165,7 @@ SimulationEngine::runFunctional(std::uint64_t n, bool warm)
                         full->onTakenBranch(addr, ops);
                 });
         } else {
-            return core_->runFast(n, nullptr);
+            return core_->runFast(n);
         }
     }
 

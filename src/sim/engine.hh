@@ -29,7 +29,6 @@
 #include "bbv/full_bbv.hh"
 #include "bbv/hashed_bbv.hh"
 #include "cpu/functional_core.hh"
-#include "cpu/superblock_config.hh"
 #include "isa/program.hh"
 #include "mem/hierarchy.hh"
 #include "mem/main_memory.hh"
@@ -40,11 +39,6 @@ namespace pgss::obs
 {
 class Group;
 struct PerfHandle;
-}
-
-namespace pgss::cpu
-{
-class SuperblockRunner;
 }
 
 namespace pgss::sim
@@ -91,23 +85,6 @@ struct ModeOps
     }
 };
 
-/**
- * Fast-forward execution backend (DESIGN.md section 14). Both
- * backends produce bit-identical architectural state, BBV streams,
- * and checkpoint deltas; they differ only in host speed, so the
- * interpreter doubles as the differential-testing oracle for the
- * superblock backend.
- */
-enum class ExecBackend : std::uint8_t
-{
-    Default,    ///< resolve from PGSS_BACKEND ("interp" if unset)
-    Interp,     ///< pre-decoded FastOp interpreter loop
-    Superblock, ///< threaded-code superblock traces (cpu/superblock)
-};
-
-/** Stat/report identifier ("interp", "superblock"). */
-const char *backendName(ExecBackend backend);
-
 /** Everything configurable about the simulated machine. */
 struct EngineConfig
 {
@@ -115,10 +92,6 @@ struct EngineConfig
     timing::BranchUnitConfig branch;
     timing::PipelineConfig pipeline;
     bbv::HashedBbvConfig hashed_bbv;
-    ExecBackend backend = ExecBackend::Default;
-    /** Trace formation knobs for the superblock backend; part of the
-     * trace-cache identity, so distinct configs never share sets. */
-    cpu::SuperblockConfig superblock;
 };
 
 /** Result of one run() call. */
@@ -135,15 +108,6 @@ class SimulationEngine
     /** Bind @p program (borrowed; must outlive the engine). */
     explicit SimulationEngine(const isa::Program &program,
                               const EngineConfig &config = {});
-
-    ~SimulationEngine(); // out-of-line: SuperblockRunner is incomplete
-
-    /** The resolved fast-forward backend (never Default). */
-    ExecBackend backend() const
-    {
-        return use_superblock_ ? ExecBackend::Superblock
-                               : ExecBackend::Interp;
-    }
 
     /**
      * Execute up to @p n instructions in @p mode; stops early at
@@ -239,8 +203,6 @@ class SimulationEngine
     template <bool with_bbv>
     std::uint64_t runFunctional(std::uint64_t n, bool warm);
     template <bool with_bbv>
-    std::uint64_t runSuperblock(std::uint64_t n);
-    template <bool with_bbv>
     std::uint64_t runDetailed(std::uint64_t n);
 
     void trackBbv(const cpu::DynInst &rec);
@@ -258,10 +220,6 @@ class SimulationEngine
     bool hashed_bbv_enabled_ = false;
     bool full_bbv_enabled_ = false;
     bool fast_path_enabled_ = true;
-    bool use_superblock_ = false;
-    /** Built lazily on the first superblock-backend chunk (the trace
-     *  cache makes this a load, not a formation, on warm runs). */
-    std::unique_ptr<cpu::SuperblockRunner> superblock_;
     std::uint64_t ops_since_taken_ = 0;
 
     std::uint64_t warm_fetch_line_ = ~0ull;

@@ -95,54 +95,6 @@ report-enospc)
     [ ! -s stats.json ] || fail "stats.json was written despite injected report failure"
     ;;
 
-trace-flip)
-    # A flipped bit in a persisted superblock trace-cache file: the
-    # sealed-section CRC detects it, the file is quarantined as
-    # *.trace.corrupt, the traces reform transparently, and the rerun
-    # lands on the exact baseline output. Runs under the superblock
-    # backend so the trace cache is actually on the execution path.
-    export PGSS_BACKEND=superblock
-    baseline
-    find "$PGSS_PROFILE_CACHE" -name '*.trace' | grep -q . ||
-        fail "superblock baseline run stored no *.trace files"
-    PGSS_FI="site=cache.trace.load,mode=flip-nth:1" \
-        run_bench flip.out --stats-json=stats.json ||
-        fail "run under cache.trace.load flip failed (exit $?)"
-    cmp -s base.out flip.out || fail "output differs after trace cache corruption rebuild"
-    find "$work" -name '*.trace.corrupt' | grep -q . ||
-        fail "corrupt trace file was not quarantined as *.trace.corrupt"
-    grep -q '"trace.load_injected": *[1-9]' stats.json ||
-        fail "fi.cache.trace.load_injected did not tick in stats.json"
-    grep -q '"quarantined": *[1-9]' stats.json ||
-        fail "robust.trace_cache.quarantined did not tick in stats.json"
-    ;;
-
-trace-stale)
-    # A version-bumped (stale) trace-cache file is yesterday's format,
-    # not damage: the rerun must reform and re-persist silently — exit
-    # 0, byte-identical output, no *.corrupt quarantine — and the
-    # stored file must come back at the current format version.
-    export PGSS_BACKEND=superblock
-    baseline
-    files="$(find "$PGSS_PROFILE_CACHE" -name '*.trace')"
-    [ -n "$files" ] || fail "superblock baseline run stored no *.trace files"
-    for f in $files; do
-        printf '\xff' | dd of="$f" bs=1 seek=4 count=1 conv=notrunc 2>/dev/null ||
-            fail "could not patch version field of $f"
-    done
-    run_bench stale.out --stats-json=stats.json ||
-        fail "run over stale trace cache failed (exit $?)"
-    cmp -s base.out stale.out || fail "output differs after stale trace reform"
-    [ "$(corrupt_files)" -eq 0 ] || fail "stale trace file was quarantined ($(corrupt_files) *.corrupt file(s))"
-    grep -q '"quarantined": *[1-9]' stats.json &&
-        fail "robust quarantine counters ticked for a stale file"
-    for f in $files; do
-        ver="$(od -An -tu1 -j4 -N1 "$f" | tr -d ' ')"
-        [ "$ver" != "255" ] ||
-            fail "stale trace file $f was not re-persisted at the current version"
-    done
-    ;;
-
 sigkill-resume)
     # SIGKILL mid-suite, then --resume against the journal: finished
     # entries replay from their journaled payloads and the merged

@@ -1,13 +1,19 @@
 /**
  * @file
- * Shared fixtures for the test suite: tiny hand-built programs and a
- * small two-phase workload with known structure.
+ * Shared fixtures for the test suite: tiny hand-built programs, a
+ * small two-phase workload with known structure, and per-test
+ * scratch paths.
  */
 
 #ifndef PGSS_TESTS_HELPERS_HH
 #define PGSS_TESTS_HELPERS_HH
 
 #include <cstdint>
+#include <string>
+
+#include <unistd.h>
+
+#include <gtest/gtest.h>
 
 #include "isa/program.hh"
 #include "workload/kernels.hh"
@@ -16,6 +22,24 @@
 
 namespace pgss::test
 {
+
+/**
+ * A scratch path under testing::TempDir() that no other test process
+ * shares: @p tag, the pid, and the running test's suite and name.
+ * ctest runs every gtest case as its own process, in parallel, so a
+ * fixed path would be removed by one test while another uses it. The
+ * path is not created; use it as a directory or a file name.
+ */
+inline std::string
+uniqueTempDir(const std::string &tag)
+{
+    std::string leaf = tag + "_" + std::to_string(::getpid());
+    if (const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info())
+        leaf += std::string("_") + info->test_suite_name() + "_" +
+                info->name();
+    return ::testing::TempDir() + leaf; // TempDir() ends in '/'
+}
 
 /**
  * A program that sums the integers 1..n into r3 and halts.

@@ -141,8 +141,7 @@ TEST(Profile, DeserializeRejectsGarbage)
 
 TEST(ProfileCache, SecondLoadIsCacheHit)
 {
-    const std::string dir =
-        ::testing::TempDir() + "/pgss_profile_cache_test";
+    const std::string dir = test::uniqueTempDir("pgss_profile_cache");
     std::filesystem::remove_all(dir);
 
     auto built = test::twoPhaseWorkload(150'000.0, 2);

@@ -1,12 +1,14 @@
 /**
  * @file
- * Differential tests for the batched fast-forward fast path: runFast()
- * must retire exactly the architectural state and BBV harvests the
- * step() interpreter produces, over every suite workload and across
- * arbitrary chunk boundaries.
+ * Differential tests for the batched fast-forward fast path:
+ * runFastWith() must retire exactly the architectural state, dirty
+ * pages and BBV harvests the step() interpreter produces, over every
+ * suite workload and input set and across arbitrary chunk
+ * boundaries.
  */
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -33,26 +35,55 @@ stateBytes(sim::SimulationEngine &e)
     return e.checkpoint().serialize();
 }
 
+/** Serialized delta = full state plus the pages dirtied since the
+ *  previous capture (and it resets the dirty baseline). */
+std::vector<std::uint8_t>
+deltaBytes(sim::SimulationEngine &e)
+{
+    return e.checkpointDelta().serialize();
+}
+
+/** Run one workload/input set on the fast path and on step() side
+ *  by side; the state and dirty-page set must agree after every
+ *  chunk and at the end. */
+void
+expectFastMatchesStep(const std::string &name, std::uint32_t input)
+{
+    const std::string where = name + " input " + std::to_string(input);
+    auto built = workload::buildWorkload(name, 0.01, input);
+
+    sim::SimulationEngine fast(built.program);
+    sim::SimulationEngine slow(built.program);
+    slow.setFastPathEnabled(false);
+
+    for (const std::uint64_t n : chunks) {
+        fast.run(n, SimMode::FunctionalFast);
+        slow.run(n, SimMode::FunctionalFast);
+        EXPECT_EQ(deltaBytes(fast), deltaBytes(slow))
+            << where << " chunk " << n;
+    }
+
+    EXPECT_EQ(fast.totalOps(), slow.totalOps()) << where;
+    EXPECT_EQ(fast.halted(), slow.halted()) << where;
+    EXPECT_EQ(fast.core().pc(), slow.core().pc()) << where;
+    EXPECT_EQ(stateBytes(fast), stateBytes(slow)) << where;
+}
+
 } // namespace
 
 TEST(CpuFastPath, MatchesStepAcrossSuiteWorkloads)
 {
+    for (const std::string &name : workload::suiteNames())
+        expectFastMatchesStep(name, 0);
+}
+
+/** The alternate input sets take different data-dependent branches
+ *  and touch different pages than the reference input. */
+TEST(CpuFastPath, MatchesStepAcrossSuiteWorkloadsAndInputs)
+{
     for (const std::string &name : workload::suiteNames()) {
-        auto built = workload::buildWorkload(name, 0.01);
-
-        sim::SimulationEngine fast(built.program);
-        sim::SimulationEngine slow(built.program);
-        slow.setFastPathEnabled(false);
-
-        for (const std::uint64_t n : chunks) {
-            fast.run(n, SimMode::FunctionalFast);
-            slow.run(n, SimMode::FunctionalFast);
-        }
-
-        EXPECT_EQ(fast.totalOps(), slow.totalOps()) << name;
-        EXPECT_EQ(fast.halted(), slow.halted()) << name;
-        EXPECT_EQ(fast.core().pc(), slow.core().pc()) << name;
-        EXPECT_EQ(stateBytes(fast), stateBytes(slow)) << name;
+        for (std::uint32_t input = 1; input < 3; ++input)
+            expectFastMatchesStep(name, input);
     }
 }
 
@@ -68,7 +99,7 @@ TEST(CpuFastPath, HashedBbvHarvestsMatchStep)
         slow.setHashedBbvEnabled(true);
 
         // Harvest after every chunk: the pending taken-branch op
-        // count must carry across runFast() calls exactly as the
+        // count must carry across fast-path chunks exactly as the
         // step() path carries it.
         for (const std::uint64_t n : chunks) {
             fast.run(n, SimMode::FunctionalFast);
@@ -138,7 +169,7 @@ TEST(CpuFastPath, CoreLevelRunFastMatchesStep)
     cpu::FunctionalCore a(built.program, mem_a);
     cpu::FunctionalCore b(built.program, mem_b);
 
-    const std::uint64_t done = a.runFast(30'000, nullptr);
+    const std::uint64_t done = a.runFast(30'000);
     cpu::DynInst rec;
     std::uint64_t stepped = 0;
     while (stepped < 30'000 && b.step(rec))

@@ -44,7 +44,7 @@ struct CorruptionFixture : ::testing::Test
     sim::CheckpointLibrary library;
 
     CorruptionFixture()
-        : dir(::testing::TempDir() + "/pgss_ckpt_corruption"),
+        : dir(test::uniqueTempDir("pgss_ckpt_corruption")),
           built(test::storingWorkload(60'000.0, 3)), library(dir)
     {
     }
@@ -300,7 +300,7 @@ TEST_F(CorruptionFixture, RecordUnderWriteFaultsDegrades)
     // seeks past the prefix degrade to functional warming from the
     // last good checkpoint — same answer, higher cost, no crash.
     const std::string dir2 =
-        ::testing::TempDir() + "/pgss_ckpt_record_fault";
+        test::uniqueTempDir("pgss_ckpt_record_fault");
     fs::remove_all(dir2);
     ASSERT_TRUE(
         util::fi::configure("site=ckpt.write,mode=fail-nth:3"));

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/helpers.hh"
 #include "util/atomic_file.hh"
 #include "util/fi.hh"
 
@@ -24,7 +25,7 @@ struct AtomicFileTest : ::testing::Test
     void SetUp() override
     {
         util::fi::reset();
-        dir = ::testing::TempDir() + "/pgss_atomic_file_test";
+        dir = test::uniqueTempDir("pgss_atomic_file");
         fs::remove_all(dir);
         fs::create_directories(dir);
     }

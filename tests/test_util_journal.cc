@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/helpers.hh"
 #include "util/fi.hh"
 #include "util/journal.hh"
 
@@ -24,7 +25,7 @@ struct JournalTest : ::testing::Test
     void SetUp() override
     {
         util::fi::reset();
-        dir = ::testing::TempDir() + "/pgss_journal_test";
+        dir = test::uniqueTempDir("pgss_journal");
         fs::remove_all(dir);
         fs::create_directories(dir);
     }

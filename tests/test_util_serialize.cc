@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/helpers.hh"
 #include "util/serialize.hh"
 
 using pgss::util::BinaryReader;
@@ -102,7 +103,7 @@ TEST(Serialize, SpecialDoublesRoundTrip)
 
 TEST(Serialize, FileRoundTrip)
 {
-    const std::string path = ::testing::TempDir() + "/pgss_ser_test.bin";
+    const std::string path = pgss::test::uniqueTempDir("pgss_ser") + ".bin";
     BinaryWriter w(magic, version);
     w.putString("file payload");
     w.putU64Vec({4, 5, 6});

@@ -24,8 +24,7 @@
  *                                         against a committed bench
  *                                         snapshot
  *   pgss_report findings f.json           render a pgss-findings
- *                                         envelope (pgss_lint --json /
- *                                         pgss_tracecheck --json);
+ *                                         envelope (pgss_lint --json);
  *                                         exit 1 on error findings
  *
  * All output is plain text so it survives CI logs and grep.
@@ -193,10 +192,8 @@ cmdCheck(const std::string &report_path,
 }
 
 /**
- * Render a pgss-findings envelope — the shared JSON schema emitted by
- * pgss_lint --json and pgss_tracecheck --json. tcheck findings carry
- * an extra "trace" member; its presence is what distinguishes the two
- * finding shapes, so one renderer covers both tools.
+ * Render a pgss-findings envelope — the JSON schema emitted by
+ * pgss_lint --json. Exit 1 when any program reports an error.
  */
 int
 cmdFindings(const std::string &path)
@@ -234,7 +231,6 @@ cmdFindings(const std::string &path)
     if (programs != nullptr && programs->isArray()) {
         for (const pgss::obs::JsonValue &p : programs->array) {
             const pgss::obs::JsonValue *name = p.get("program");
-            const pgss::obs::JsonValue *traces = p.get("num_traces");
             const pgss::obs::JsonValue *code = p.get("code_size");
             const std::uint64_t errors =
                 p.get("errors") != nullptr ? p.get("errors")->asUint()
@@ -250,8 +246,6 @@ cmdFindings(const std::string &path)
                       << ": ";
             if (code != nullptr)
                 std::cout << code->asUint() << " instructions, ";
-            if (traces != nullptr)
-                std::cout << traces->asUint() << " traces, ";
             std::cout << errors << " error(s), " << warnings
                       << " warning(s)\n";
 
@@ -261,15 +255,12 @@ cmdFindings(const std::string &path)
             for (const pgss::obs::JsonValue &f : findings->array) {
                 const pgss::obs::JsonValue *sev = f.get("severity");
                 const pgss::obs::JsonValue *fcode = f.get("code");
-                const pgss::obs::JsonValue *trace = f.get("trace");
                 const pgss::obs::JsonValue *pc = f.get("pc");
                 const pgss::obs::JsonValue *msg = f.get("message");
                 std::cout << "  "
                           << (sev != nullptr ? sev->string : "?")
                           << " "
                           << (fcode != nullptr ? fcode->string : "?");
-                if (trace != nullptr)
-                    std::cout << " t" << trace->asUint();
                 std::cout << " @"
                           << (pc != nullptr ? pc->asUint() : 0)
                           << ": "
