@@ -15,33 +15,6 @@ Btb::Btb(std::uint32_t entries)
                   "BTB size must be a power of two");
 }
 
-std::uint32_t
-Btb::index(std::uint64_t pc) const
-{
-    return static_cast<std::uint32_t>(pc) & mask_;
-}
-
-bool
-Btb::lookup(std::uint64_t pc, std::uint64_t &target) const
-{
-    const std::uint32_t i = index(pc);
-    ++stats_.lookups;
-    if (!valid_[i] || tags_[i] != pc)
-        return false;
-    ++stats_.hits;
-    target = targets_[i];
-    return true;
-}
-
-void
-Btb::update(std::uint64_t pc, std::uint64_t target)
-{
-    const std::uint32_t i = index(pc);
-    tags_[i] = pc;
-    targets_[i] = target;
-    valid_[i] = 1;
-}
-
 void
 Btb::reset()
 {
@@ -68,32 +41,6 @@ ReturnAddressStack::ReturnAddressStack(std::uint32_t depth)
     : stack_(depth, 0)
 {
     util::panicIf(depth == 0, "RAS depth must be nonzero");
-}
-
-void
-ReturnAddressStack::push(std::uint64_t addr)
-{
-    ++stats_.pushes;
-    top_ = (top_ + 1) % stack_.size();
-    stack_[top_] = addr;
-    if (count_ < stack_.size())
-        ++count_;
-    else
-        ++stats_.overflows;
-}
-
-std::uint64_t
-ReturnAddressStack::pop()
-{
-    ++stats_.pops;
-    if (count_ == 0) {
-        ++stats_.underflows;
-        return 0;
-    }
-    const std::uint64_t addr = stack_[top_];
-    top_ = (top_ + stack_.size() - 1) % stack_.size();
-    --count_;
-    return addr;
 }
 
 void

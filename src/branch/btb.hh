@@ -119,6 +119,61 @@ class ReturnAddressStack
     RasStats stats_;
 };
 
+// Hot paths, inline so functional warming trains without a call.
+
+inline std::uint32_t
+Btb::index(std::uint64_t pc) const
+{
+    return static_cast<std::uint32_t>(pc) & mask_;
+}
+
+inline bool
+Btb::lookup(std::uint64_t pc, std::uint64_t &target) const
+{
+    const std::uint32_t i = index(pc);
+    ++stats_.lookups;
+    if (!valid_[i] || tags_[i] != pc)
+        return false;
+    ++stats_.hits;
+    target = targets_[i];
+    return true;
+}
+
+inline void
+Btb::update(std::uint64_t pc, std::uint64_t target)
+{
+    const std::uint32_t i = index(pc);
+    tags_[i] = pc;
+    targets_[i] = target;
+    valid_[i] = 1;
+}
+
+inline void
+ReturnAddressStack::push(std::uint64_t addr)
+{
+    ++stats_.pushes;
+    top_ = (top_ + 1) % stack_.size();
+    stack_[top_] = addr;
+    if (count_ < stack_.size())
+        ++count_;
+    else
+        ++stats_.overflows;
+}
+
+inline std::uint64_t
+ReturnAddressStack::pop()
+{
+    ++stats_.pops;
+    if (count_ == 0) {
+        ++stats_.underflows;
+        return 0;
+    }
+    const std::uint64_t addr = stack_[top_];
+    top_ = (top_ + stack_.size() - 1) % stack_.size();
+    --count_;
+    return addr;
+}
+
 } // namespace pgss::branch
 
 #endif // PGSS_BRANCH_BTB_HH

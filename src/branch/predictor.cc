@@ -16,25 +16,6 @@ BimodalPredictor::BimodalPredictor(std::uint32_t entries)
                   "bimodal table size must be a power of two");
 }
 
-std::uint32_t
-BimodalPredictor::index(std::uint64_t pc) const
-{
-    return static_cast<std::uint32_t>(pc) & mask_;
-}
-
-bool
-BimodalPredictor::predict(std::uint64_t pc) const
-{
-    return counter::taken(table_[index(pc)]);
-}
-
-void
-BimodalPredictor::update(std::uint64_t pc, bool taken)
-{
-    std::uint8_t &c = table_[index(pc)];
-    c = counter::update(c, taken);
-}
-
 void
 BimodalPredictor::reset()
 {
@@ -66,26 +47,6 @@ GsharePredictor::GsharePredictor(std::uint32_t entries,
                   "gshare table size must be a power of two");
     util::panicIf(history_bits == 0 || history_bits > 30,
                   "gshare history bits out of range");
-}
-
-std::uint32_t
-GsharePredictor::index(std::uint64_t pc) const
-{
-    return (static_cast<std::uint32_t>(pc) ^ history_) & mask_;
-}
-
-bool
-GsharePredictor::predict(std::uint64_t pc) const
-{
-    return counter::taken(table_[index(pc)]);
-}
-
-void
-GsharePredictor::update(std::uint64_t pc, bool taken)
-{
-    std::uint8_t &c = table_[index(pc)];
-    c = counter::update(c, taken);
-    history_ = ((history_ << 1) | (taken ? 1 : 0)) & history_mask_;
 }
 
 void
@@ -124,27 +85,6 @@ TournamentPredictor::TournamentPredictor(std::uint32_t entries,
     : bimodal_(entries), gshare_(entries, history_bits),
       chooser_(entries, 2), mask_(entries - 1)
 {
-}
-
-bool
-TournamentPredictor::predict(std::uint64_t pc) const
-{
-    const bool use_gshare = counter::taken(
-        chooser_[static_cast<std::uint32_t>(pc) & mask_]);
-    return use_gshare ? gshare_.predict(pc) : bimodal_.predict(pc);
-}
-
-void
-TournamentPredictor::update(std::uint64_t pc, bool taken)
-{
-    const bool bim = bimodal_.predict(pc);
-    const bool gsh = gshare_.predict(pc);
-    std::uint8_t &choice =
-        chooser_[static_cast<std::uint32_t>(pc) & mask_];
-    if (bim != gsh)
-        choice = counter::update(choice, gsh == taken);
-    bimodal_.update(pc, taken);
-    gshare_.update(pc, taken);
 }
 
 void

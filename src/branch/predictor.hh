@@ -53,7 +53,7 @@ class DirectionPredictor
 };
 
 /** Classic per-PC 2-bit counter table. */
-class BimodalPredictor : public DirectionPredictor
+class BimodalPredictor final : public DirectionPredictor
 {
   public:
     /** @param entries table size; must be a power of two. */
@@ -72,7 +72,7 @@ class BimodalPredictor : public DirectionPredictor
 };
 
 /** Global-history XOR-indexed 2-bit counter table. */
-class GsharePredictor : public DirectionPredictor
+class GsharePredictor final : public DirectionPredictor
 {
   public:
     /**
@@ -100,7 +100,7 @@ class GsharePredictor : public DirectionPredictor
  * Tournament predictor: bimodal + gshare with a 2-bit chooser table
  * (McFarling style).
  */
-class TournamentPredictor : public DirectionPredictor
+class TournamentPredictor final : public DirectionPredictor
 {
   public:
     /** @param entries size of each component table (power of two). */
@@ -119,6 +119,68 @@ class TournamentPredictor : public DirectionPredictor
     std::vector<std::uint8_t> chooser_; ///< >=2 selects gshare
     std::uint32_t mask_;
 };
+
+// Hot paths, inline so functional warming trains without a call.
+
+inline std::uint32_t
+BimodalPredictor::index(std::uint64_t pc) const
+{
+    return static_cast<std::uint32_t>(pc) & mask_;
+}
+
+inline bool
+BimodalPredictor::predict(std::uint64_t pc) const
+{
+    return counter::taken(table_[index(pc)]);
+}
+
+inline void
+BimodalPredictor::update(std::uint64_t pc, bool taken)
+{
+    std::uint8_t &c = table_[index(pc)];
+    c = counter::update(c, taken);
+}
+
+inline std::uint32_t
+GsharePredictor::index(std::uint64_t pc) const
+{
+    return (static_cast<std::uint32_t>(pc) ^ history_) & mask_;
+}
+
+inline bool
+GsharePredictor::predict(std::uint64_t pc) const
+{
+    return counter::taken(table_[index(pc)]);
+}
+
+inline void
+GsharePredictor::update(std::uint64_t pc, bool taken)
+{
+    std::uint8_t &c = table_[index(pc)];
+    c = counter::update(c, taken);
+    history_ = ((history_ << 1) | (taken ? 1 : 0)) & history_mask_;
+}
+
+inline bool
+TournamentPredictor::predict(std::uint64_t pc) const
+{
+    const bool use_gshare = counter::taken(
+        chooser_[static_cast<std::uint32_t>(pc) & mask_]);
+    return use_gshare ? gshare_.predict(pc) : bimodal_.predict(pc);
+}
+
+inline void
+TournamentPredictor::update(std::uint64_t pc, bool taken)
+{
+    const bool bim = bimodal_.predict(pc);
+    const bool gsh = gshare_.predict(pc);
+    std::uint8_t &choice =
+        chooser_[static_cast<std::uint32_t>(pc) & mask_];
+    if (bim != gsh)
+        choice = counter::update(choice, gsh == taken);
+    bimodal_.update(pc, taken);
+    gshare_.update(pc, taken);
+}
 
 } // namespace pgss::branch
 

@@ -41,6 +41,36 @@ struct DynInst
     std::uint64_t mem_addr = 0; ///< byte address for loads/stores
 };
 
+/** How the branch unit predicts one instruction. */
+enum class ControlKind : std::uint8_t
+{
+    None,   ///< not a control transfer
+    Branch, ///< conditional: direction predictor, BTB when taken
+    Jump,   ///< unconditional, not a call or return: BTB
+    Call,   ///< Jal writing the link register: BTB, then RAS push
+    Return, ///< Jalr through the link register: RAS pop
+};
+
+/**
+ * Classify a retired instruction for the branch unit: a Jal whose
+ * (architectural) rd is @p link_reg is a call, a Jalr whose rs1 is
+ * @p link_reg a return.
+ */
+inline ControlKind
+controlKind(bool is_branch, bool is_jump, isa::Opcode op, std::uint8_t rd,
+            std::uint8_t rs1, std::uint8_t link_reg)
+{
+    if (is_branch)
+        return ControlKind::Branch;
+    if (!is_jump)
+        return ControlKind::None;
+    if (op == isa::Opcode::Jalr && rs1 == link_reg)
+        return ControlKind::Return;
+    if (op == isa::Opcode::Jal && rd == link_reg)
+        return ControlKind::Call;
+    return ControlKind::Jump;
+}
+
 } // namespace pgss::cpu
 
 #endif // PGSS_CPU_DYN_INST_HH

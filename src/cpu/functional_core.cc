@@ -7,8 +7,10 @@ namespace pgss::cpu
 {
 
 FunctionalCore::FunctionalCore(const isa::Program &program,
-                               mem::MainMemory &memory)
-    : program_(program), memory_(memory), pc_(program.entry)
+                               mem::MainMemory &memory,
+                               std::uint8_t link_reg)
+    : program_(program), memory_(memory), link_reg_(link_reg),
+      pc_(program.entry)
 {
 }
 
@@ -178,12 +180,20 @@ FunctionalCore::step(DynInst &rec)
 }
 
 void
-FunctionalCore::buildFastTable()
+FunctionalCore::buildTables()
 {
     PGSS_SPAN("cpu.decode", Decode);
     fast_table_.clear();
     fast_table_.reserve(program_.code.size());
-    for (const isa::Instruction &inst : program_.code) {
+    decoded_.clear();
+    decoded_.reserve(program_.code.size());
+    for (std::uint64_t pc = 0; pc < program_.code.size(); ++pc) {
+        const isa::Instruction &inst = program_.code[pc];
+        const isa::OpInfo &info = inst.info();
+        const ControlKind kind =
+            controlKind(info.is_branch, info.is_jump, inst.op, inst.rd,
+                        inst.rs1, link_reg_);
+
         FastOp f;
         f.imm = inst.imm;
         f.op = inst.op;
@@ -195,15 +205,33 @@ FunctionalCore::buildFastTable()
                    : inst.rd;
         f.rs1 = inst.rs1;
         f.rs2 = inst.rs2;
+        f.kind = kind;
         fast_table_.push_back(f);
+
+        DynInst d;
+        d.pc = pc;
+        d.op = inst.op;
+        d.op_class = info.op_class;
+        d.rd = inst.rd;
+        d.rs1 = inst.rs1;
+        d.rs2 = inst.rs2;
+        d.writes_rd = info.writes_rd && inst.rd != isa::reg_zero;
+        d.reads_rs1 = info.reads_rs1;
+        d.reads_rs2 = info.reads_rs2;
+        d.is_branch = info.is_branch;
+        d.is_jump = info.is_jump;
+        d.is_load = info.op_class == isa::OpClass::MemRead;
+        d.is_store = info.op_class == isa::OpClass::MemWrite;
+        decoded_.push_back(d);
     }
 }
 
-std::uint64_t
-FunctionalCore::runFast(std::uint64_t n)
+const DynInst *
+FunctionalCore::decodedInsts()
 {
-    std::uint64_t since = 0;
-    return runFastWith(n, since, [](std::uint64_t, std::uint64_t) {});
+    if (decoded_.size() != program_.code.size())
+        buildTables();
+    return decoded_.data();
 }
 
 } // namespace pgss::cpu

@@ -2,21 +2,21 @@
  * @file
  * The functional simulator: interprets pre-decoded instructions and
  * maintains the architectural state (register file, PC, data memory).
- * This is the always-on layer; fast-forwarding runs it alone, detailed
- * modes feed its retired-instruction records into the timing model.
+ * This is the always-on layer; every simulation mode runs it, and the
+ * warming and timing layers observe what it retires.
  *
  * Two execution paths share the architectural state:
  *
- *  - step(): execute one instruction and fill a DynInst record with
- *    everything the timing model, branch predictors, and cache warming
- *    consume. Used by the warm and detailed modes.
- *  - runFastWith(): batched execution over a flat pre-decoded table
- *    (operands, immediates, and per-op behaviour resolved once at
- *    table build). No DynInst is populated; the only side channel is
- *    a taken-branch callback that receives (taken-branch address,
- *    ops) pairs, which is all BBV tracking needs. This is the
- *    functional-fast-forward path (DESIGN.md section 9.1); runFast()
- *    is its no-BBV wrapper.
+ *  - execute<Hooks>(): the production loop, over a flat table
+ *    pre-decoded once per program (operands, immediates, and the
+ *    branch unit's call/return class resolved at table build). Each
+ *    simulation mode passes a hook set that the loop calls, fully
+ *    inlined, at fixed points of every op: fetch (pc), memory access,
+ *    control transfer, retire and taken branch (BBV). DESIGN.md
+ *    section 9.1 describes the hooks and the exactness contract.
+ *  - step(): execute one instruction and fill a DynInst record. It
+ *    restates the semantics independently and is the differential
+ *    oracle the execute loop is tested against.
  */
 
 #ifndef PGSS_CPU_FUNCTIONAL_CORE_HH
@@ -76,9 +76,11 @@ divSigned(std::uint64_t a, std::uint64_t b)
 } // namespace detail
 
 /**
- * One pre-decoded fast-path operation. Destination registers are
- * remapped at table build: writes to r0 target a scratch slot past the
- * architectural file, so the dispatch loop needs no r0 check.
+ * One pre-decoded operation of the execute() loop. Destination
+ * registers are remapped at table build: writes to r0 target a
+ * scratch slot past the architectural file, so the dispatch loop
+ * needs no r0 check. The branch unit's class of the op is resolved at
+ * table build too, from the architectural rd/rs1.
  */
 struct FastOp
 {
@@ -87,6 +89,39 @@ struct FastOp
     std::uint8_t rd;    ///< destination (r0 remapped to scratch)
     std::uint8_t rs1;   ///< first source
     std::uint8_t rs2;   ///< second source
+    ControlKind kind;   ///< branch-unit class (None for non-control)
+};
+
+/**
+ * The execute() hook set that observes nothing. A mode's hook set
+ * derives from it and hides the members it needs; the loop calls them
+ * on the concrete type, so an unused hook compiles to nothing.
+ */
+struct NoHooks
+{
+    /** Before op @p pc executes. */
+    void fetch(std::uint64_t /*pc*/) {}
+
+    /** A load or store of the (checked) byte address @p addr. */
+    void memory(std::uint64_t /*addr*/, bool /*is_store*/) {}
+
+    /**
+     * A branch or jump at @p pc resolved to @p target (the next pc;
+     * pc+1 for a branch not taken).
+     */
+    void control(std::uint64_t /*pc*/, std::uint64_t /*target*/,
+                 bool /*taken*/, ControlKind /*kind*/)
+    {
+    }
+
+    /** Op @p pc retired; execution continues at @p next_pc. */
+    void retire(std::uint64_t /*pc*/, std::uint64_t /*next_pc*/) {}
+
+    /**
+     * A taken control transfer at byte address @p branch_addr, with
+     * the ops retired since the previous one (itself included).
+     */
+    void taken(std::uint64_t /*branch_addr*/, std::uint64_t /*ops*/) {}
 };
 
 /**
@@ -99,9 +134,12 @@ class FunctionalCore
   public:
     /**
      * Bind to @p program and @p memory (both owned by the caller and
-     * must outlive the core).
+     * must outlive the core). @p link_reg is the branch unit's link
+     * register (timing::BranchUnitConfig::link_reg), which the
+     * pre-decoded tables classify calls and returns by.
      */
-    FunctionalCore(const isa::Program &program, mem::MainMemory &memory);
+    FunctionalCore(const isa::Program &program, mem::MainMemory &memory,
+                   std::uint8_t link_reg = 1);
 
     /**
      * Execute the instruction at the current PC.
@@ -113,29 +151,25 @@ class FunctionalCore
     bool step(DynInst &rec);
 
     /**
-     * Execute up to @p n instructions on the fast path (architectural
-     * state only, no DynInst records, no taken-branch accounting).
-     * Stops early at Halt.
-     * @return instructions retired (0 when already halted).
-     */
-    std::uint64_t runFast(std::uint64_t n);
-
-    /**
-     * The fast-path loop itself, templated over the taken-branch
-     * callback so the engine's BBV trackers get a fully inlined call
-     * per taken branch. The pre-decoded table is built lazily on
-     * first use. Defined at the bottom of this header.
+     * The execute loop: up to @p n instructions over the pre-decoded
+     * table, calling @p hooks (see NoHooks) at every op. Per op the
+     * order is fetch, then memory or control, then retire, then taken.
+     * The tables are built lazily on first use. Defined at the bottom
+     * of this header. Stops early at Halt.
      * @param ops_since_taken carried in/out across calls: instructions
      *        retired since the last taken control transfer.
-     * @param on_taken invoked as on_taken(branch_addr, ops_since_last)
-     *        for every taken transfer (the transfer itself included
-     *        in ops_since_last).
      * @return instructions retired (0 when already halted).
      */
-    template <typename OnTaken>
-    std::uint64_t runFastWith(std::uint64_t n,
-                              std::uint64_t &ops_since_taken,
-                              OnTaken &&on_taken);
+    template <typename Hooks>
+    std::uint64_t execute(std::uint64_t n, std::uint64_t &ops_since_taken,
+                          Hooks &hooks);
+
+    /**
+     * The per-pc DynInst templates: every field step() derives from
+     * the instruction alone, with taken, next_pc and mem_addr left at
+     * their defaults for a hook to fill.
+     */
+    const DynInst *decodedInsts();
 
     /** True after Halt has retired. */
     bool halted() const { return halted_; }
@@ -180,30 +214,32 @@ class FunctionalCore
     mem::MainMemory &memory() { return memory_; }
 
   private:
-    void buildFastTable();
+    void buildTables();
 
     const isa::Program &program_;
     mem::MainMemory &memory_;
+    std::uint8_t link_reg_;
     std::array<std::uint64_t, isa::num_regs> regs_{};
     std::uint64_t pc_;
     std::uint64_t retired_ = 0;
     bool halted_ = false;
 
-    std::vector<FastOp> fast_table_; ///< built lazily by runFastWith()
+    // Built lazily, together, by buildTables().
+    std::vector<FastOp> fast_table_;
+    std::vector<DynInst> decoded_;
 };
 
-template <typename OnTaken>
+template <typename Hooks>
 std::uint64_t
-FunctionalCore::runFastWith(std::uint64_t n,
-                            std::uint64_t &ops_since_taken,
-                            OnTaken &&on_taken)
+FunctionalCore::execute(std::uint64_t n, std::uint64_t &ops_since_taken,
+                        Hooks &hooks)
 {
     using isa::Opcode;
 
     if (halted_ || n == 0)
         return 0;
     if (fast_table_.size() != program_.code.size())
-        buildFastTable();
+        buildTables();
 
     const FastOp *table = fast_table_.data();
     const std::uint64_t code_size = fast_table_.size();
@@ -226,6 +262,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
         util::panicIf(pc >= code_size,
                       "PC ran off the end of the program");
         const FastOp &f = table[pc];
+        hooks.fetch(pc);
         const std::uint64_t a = regs[f.rs1];
         const std::uint64_t b = regs[f.rs2];
         std::uint64_t next = pc + 1;
@@ -306,6 +343,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
             util::panicIf((addr & 7) != 0, "unaligned memory read");
             const std::uint64_t w = addr >> 3;
             util::panicIf(w >= mem_words, "memory read out of range");
+            hooks.memory(addr, false);
             regs[f.rd] = mem[w];
             break;
           }
@@ -316,6 +354,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
             const std::uint64_t w = addr >> 3;
             util::panicIf(w >= mem_words,
                           "memory write out of range");
+            hooks.memory(addr, true);
             mem[w] = b;
             page_dirty[w >> mem::MainMemory::page_shift] = 1;
             break;
@@ -325,12 +364,14 @@ FunctionalCore::runFastWith(std::uint64_t n,
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
+            hooks.control(pc, next, taken, f.kind);
             break;
           case Opcode::Bne:
             if (a != b) {
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
+            hooks.control(pc, next, taken, f.kind);
             break;
           case Opcode::Blt:
             if (static_cast<std::int64_t>(a) <
@@ -338,6 +379,7 @@ FunctionalCore::runFastWith(std::uint64_t n,
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
+            hooks.control(pc, next, taken, f.kind);
             break;
           case Opcode::Bge:
             if (static_cast<std::int64_t>(a) >=
@@ -345,16 +387,19 @@ FunctionalCore::runFastWith(std::uint64_t n,
                 taken = true;
                 next = static_cast<std::uint64_t>(f.imm);
             }
+            hooks.control(pc, next, taken, f.kind);
             break;
           case Opcode::Jal:
             regs[f.rd] = pc + 1;
             taken = true;
             next = static_cast<std::uint64_t>(f.imm);
+            hooks.control(pc, next, true, f.kind);
             break;
           case Opcode::Jalr:
             regs[f.rd] = pc + 1;
             taken = true;
             next = a + static_cast<std::uint64_t>(f.imm);
+            hooks.control(pc, next, true, f.kind);
             break;
           case Opcode::Nop:
             break;
@@ -362,13 +407,14 @@ FunctionalCore::runFastWith(std::uint64_t n,
             halted = true;
             break;
           default:
-            util::panic("unhandled opcode in FunctionalCore::runFast");
+            util::panic("unhandled opcode in FunctionalCore::execute");
         }
 
         ++done;
         ++since;
+        hooks.retire(pc, next);
         if (taken) {
-            on_taken(isa::instAddr(pc), since);
+            hooks.taken(isa::instAddr(pc), since);
             since = 0;
         }
         pc = next;

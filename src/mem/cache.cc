@@ -33,6 +33,7 @@ Cache::Cache(const CacheConfig &config) : config_(config)
             "cache set count must be a power of two");
     set_shift_ = std::countr_zero(
         static_cast<std::uint64_t>(config.line_bytes));
+    tag_shift_ = std::countr_zero(static_cast<std::uint64_t>(num_sets_));
     set_mask_ = num_sets_ - 1;
 
     const std::size_t lines =
@@ -43,34 +44,11 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     stamp_.assign(lines, 0);
 }
 
-std::uint64_t
-Cache::lineIndex(std::uint64_t addr) const
-{
-    return addr >> set_shift_;
-}
-
 CacheAccessResult
-Cache::access(std::uint64_t addr, bool is_write)
+Cache::fill(std::uint64_t set, std::uint64_t tag, bool is_write)
 {
-    const std::uint64_t line = lineIndex(addr);
-    const std::uint64_t set = line & set_mask_;
-    const std::uint64_t tag = line >> std::countr_zero(
-        static_cast<std::uint64_t>(num_sets_));
     const std::size_t base =
         static_cast<std::size_t>(set) * config_.assoc;
-
-    ++tick_;
-
-    // Hit path.
-    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
-        const std::size_t i = base + w;
-        if (valid_[i] && tags_[i] == tag) {
-            stamp_[i] = tick_;
-            dirty_[i] |= is_write ? 1 : 0;
-            ++stats_.hits;
-            return {true, false};
-        }
-    }
 
     // Miss: pick an invalid way, else the LRU way.
     std::size_t victim = base;
@@ -94,9 +72,7 @@ Cache::access(std::uint64_t addr, bool is_write)
         // Reconstruct the victim's byte address from its tag/set so
         // the next level can absorb the write-back.
         const std::uint64_t victim_line =
-            (tags_[victim] << std::countr_zero(
-                 static_cast<std::uint64_t>(num_sets_))) |
-            set;
+            (tags_[victim] << tag_shift_) | set;
         result.victim_addr = victim_line << set_shift_;
     }
 
@@ -111,10 +87,9 @@ Cache::access(std::uint64_t addr, bool is_write)
 bool
 Cache::probe(std::uint64_t addr) const
 {
-    const std::uint64_t line = lineIndex(addr);
+    const std::uint64_t line = addr >> set_shift_;
     const std::uint64_t set = line & set_mask_;
-    const std::uint64_t tag = line >> std::countr_zero(
-        static_cast<std::uint64_t>(num_sets_));
+    const std::uint64_t tag = line >> tag_shift_;
     const std::size_t base =
         static_cast<std::size_t>(set) * config_.assoc;
     for (std::uint32_t w = 0; w < config_.assoc; ++w) {

@@ -61,7 +61,8 @@ class Cache
     explicit Cache(const CacheConfig &config);
 
     /**
-     * Access the line containing byte address @p addr.
+     * Access the line containing byte address @p addr. The hit path
+     * is inline (below); a miss calls fill().
      * @param addr byte address.
      * @param is_write true for stores (marks the line dirty).
      * @return hit/miss and whether a dirty victim was written back.
@@ -110,11 +111,14 @@ class Cache
     void setState(const State &st);
 
   private:
-    std::uint64_t lineIndex(std::uint64_t addr) const;
+    /** The miss path of access(): allocate @p tag into @p set. */
+    CacheAccessResult fill(std::uint64_t set, std::uint64_t tag,
+                           bool is_write);
 
     CacheConfig config_;
     std::uint32_t num_sets_;
     std::uint32_t set_shift_;  ///< log2(line_bytes)
+    std::uint32_t tag_shift_;  ///< log2(num_sets)
     std::uint64_t set_mask_;
 
     // Flattened [set][way] arrays.
@@ -126,6 +130,29 @@ class Cache
 
     CacheStats stats_;
 };
+
+inline CacheAccessResult
+Cache::access(std::uint64_t addr, bool is_write)
+{
+    const std::uint64_t line = addr >> set_shift_;
+    const std::uint64_t set = line & set_mask_;
+    const std::uint64_t tag = line >> tag_shift_;
+    const std::size_t base =
+        static_cast<std::size_t>(set) * config_.assoc;
+
+    ++tick_;
+
+    for (std::uint32_t w = 0; w < config_.assoc; ++w) {
+        const std::size_t i = base + w;
+        if (valid_[i] && tags_[i] == tag) {
+            stamp_[i] = tick_;
+            dirty_[i] |= is_write ? 1 : 0;
+            ++stats_.hits;
+            return {true, false};
+        }
+    }
+    return fill(set, tag, is_write);
+}
 
 } // namespace pgss::mem
 

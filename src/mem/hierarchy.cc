@@ -40,25 +40,6 @@ CacheHierarchy::instFetch(std::uint64_t addr)
 }
 
 void
-CacheHierarchy::warmData(std::uint64_t addr, bool is_write)
-{
-    CacheAccessResult l1 = l1d_.access(addr, is_write);
-    if (l1.hit)
-        return;
-    if (l1.writeback)
-        l2_.access(l1.victim_addr, true);
-    l2_.access(addr, false);
-}
-
-void
-CacheHierarchy::warmInst(std::uint64_t addr)
-{
-    CacheAccessResult l1 = l1i_.access(addr, false);
-    if (!l1.hit)
-        l2_.access(addr, false);
-}
-
-void
 CacheHierarchy::flushAll()
 {
     l1i_.flush();

@@ -56,10 +56,10 @@ class CacheHierarchy
      */
     std::uint32_t instFetch(std::uint64_t addr);
 
-    /** Untimed data access: updates tag state only. */
+    /** Untimed data access: updates tag state only. Inline. */
     void warmData(std::uint64_t addr, bool is_write);
 
-    /** Untimed instruction-fetch warming. */
+    /** Untimed instruction-fetch warming. Inline. */
     void warmInst(std::uint64_t addr);
 
     /** Invalidate every level. */
@@ -99,6 +99,25 @@ class CacheHierarchy
     Cache l1d_;
     Cache l2_;
 };
+
+inline void
+CacheHierarchy::warmData(std::uint64_t addr, bool is_write)
+{
+    CacheAccessResult l1 = l1d_.access(addr, is_write);
+    if (l1.hit)
+        return;
+    if (l1.writeback)
+        l2_.access(l1.victim_addr, true);
+    l2_.access(addr, false);
+}
+
+inline void
+CacheHierarchy::warmInst(std::uint64_t addr)
+{
+    CacheAccessResult l1 = l1i_.access(addr, false);
+    if (!l1.hit)
+        l2_.access(addr, false);
+}
 
 } // namespace pgss::mem
 

@@ -69,7 +69,7 @@ class MainMemory
     /** Reset dirty tracking (a checkpoint baseline was captured). */
     void clearPageDirty();
 
-    // Fast-path access (cpu::FunctionalCore::runFast): raw storage
+    // Fast-path access (cpu::FunctionalCore::execute): raw storage
     // plus the dirty byte map. Callers must bounds-check and mark
     // pages dirty exactly as write() does.
     std::uint64_t *rawWords() { return words_.data(); }

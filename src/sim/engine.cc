@@ -1,5 +1,6 @@
 #include "sim/engine.hh"
 
+#include <bit>
 #include <string>
 
 #include "obs/perf.hh"
@@ -66,6 +67,113 @@ modeSpanName(SimMode mode)
     return "engine.unknown";
 }
 
+// ---- execute() hooks, one set per mode (cpu::NoHooks documents the
+// points the loop calls them at).
+
+/** FunctionalWarm: cache and branch-predictor warming. */
+struct WarmHooks : cpu::NoHooks
+{
+    mem::CacheHierarchy &hierarchy;
+    timing::BranchUnit &branch;
+    std::uint64_t bytes_per_inst;
+    std::uint32_t line_shift; ///< log2(L1I line bytes)
+    std::uint64_t fetch_line; ///< the engine's warm_fetch_line_
+
+    /** Warm the L1I once per fetch-line change, as step()'s loop does. */
+    void
+    fetch(std::uint64_t pc)
+    {
+        const std::uint64_t addr = pc * bytes_per_inst;
+        const std::uint64_t line = addr >> line_shift;
+        if (line != fetch_line) {
+            fetch_line = line;
+            hierarchy.warmInst(addr);
+        }
+    }
+
+    void
+    memory(std::uint64_t addr, bool is_store)
+    {
+        hierarchy.warmData(addr, is_store);
+    }
+
+    void
+    control(std::uint64_t pc, std::uint64_t target, bool taken,
+            cpu::ControlKind kind)
+    {
+        branch.train(pc, target, taken, kind);
+    }
+};
+
+/** DetailedWarm/Measure: a DynInst per op into the timing model. */
+struct DetailedHooks : cpu::NoHooks
+{
+    timing::InOrderPipeline &pipeline;
+    const cpu::DynInst *decoded; ///< per-pc templates
+    cpu::DynInst rec{};
+
+    void fetch(std::uint64_t pc) { rec = decoded[pc]; }
+    void memory(std::uint64_t addr, bool) { rec.mem_addr = addr; }
+
+    void
+    control(std::uint64_t, std::uint64_t, bool taken, cpu::ControlKind)
+    {
+        rec.taken = taken;
+    }
+
+    void
+    retire(std::uint64_t, std::uint64_t next_pc)
+    {
+        rec.next_pc = next_pc;
+        pipeline.consume(rec);
+    }
+};
+
+/** @p Mode's hooks plus the taken-branch sink @p Bbv. */
+template <typename Mode, typename Bbv>
+struct WithBbv : Mode
+{
+    Bbv bbv;
+
+    void
+    taken(std::uint64_t branch_addr, std::uint64_t ops)
+    {
+        bbv(branch_addr, ops);
+    }
+};
+
+/** Taken-branch sinks: none, hashed only (PGSS), or any set. */
+struct NoBbv
+{
+    void operator()(std::uint64_t, std::uint64_t) const {}
+};
+
+struct HashedBbvSink
+{
+    bbv::HashedBbv &hashed;
+
+    void
+    operator()(std::uint64_t addr, std::uint64_t ops) const
+    {
+        hashed.onTakenBranch(addr, ops);
+    }
+};
+
+struct AnyBbvSink
+{
+    bbv::HashedBbv *hashed;
+    bbv::FullBbvCollector *full;
+
+    void
+    operator()(std::uint64_t addr, std::uint64_t ops) const
+    {
+        if (hashed)
+            hashed->onTakenBranch(addr, ops);
+        if (full)
+            full->onTakenBranch(addr, ops);
+    }
+};
+
 } // anonymous namespace
 
 SimulationEngine::SimulationEngine(const isa::Program &program,
@@ -79,7 +187,8 @@ SimulationEngine::SimulationEngine(const isa::Program &program,
         image.resize(memory_->words().size(), 0);
         memory_->setWords(std::move(image));
     }
-    core_ = std::make_unique<cpu::FunctionalCore>(program_, *memory_);
+    core_ = std::make_unique<cpu::FunctionalCore>(
+        program_, *memory_, config.branch.link_reg);
     hierarchy_ = std::make_unique<mem::CacheHierarchy>(config.hierarchy);
     branch_unit_ = std::make_unique<timing::BranchUnit>(config.branch);
     pipeline_ = std::make_unique<timing::InOrderPipeline>(
@@ -103,7 +212,8 @@ SimulationEngine::reset()
         image.resize(memory_->words().size(), 0);
         memory_->setWords(std::move(image));
     }
-    core_ = std::make_unique<cpu::FunctionalCore>(program_, *memory_);
+    core_ = std::make_unique<cpu::FunctionalCore>(
+        program_, *memory_, config_.branch.link_reg);
     hierarchy_ =
         std::make_unique<mem::CacheHierarchy>(config_.hierarchy);
     branch_unit_ =
@@ -131,44 +241,63 @@ SimulationEngine::trackBbv(const cpu::DynInst &rec)
     ops_since_taken_ = 0;
 }
 
+template <typename Run>
+std::uint64_t
+SimulationEngine::withBbv(Run &&run)
+{
+    // With no tracker on, the reference loops leave ops_since_taken_
+    // alone, so the loop counts into a scratch variable.
+    if (!hashed_bbv_enabled_ && !full_bbv_enabled_) {
+        std::uint64_t untracked = 0;
+        return run(NoBbv{}, untracked);
+    }
+    if (!full_bbv_enabled_)
+        return run(HashedBbvSink{hashed_bbv_}, ops_since_taken_);
+    return run(AnyBbvSink{hashed_bbv_enabled_ ? &hashed_bbv_ : nullptr,
+                          &full_bbv_},
+               ops_since_taken_);
+}
+
+std::uint64_t
+SimulationEngine::execute(std::uint64_t n, SimMode mode)
+{
+    cpu::FunctionalCore &core = *core_;
+    switch (mode) {
+      case SimMode::FunctionalFast:
+        return withBbv([&](auto bbv, std::uint64_t &since) {
+            WithBbv<cpu::NoHooks, decltype(bbv)> hooks{{}, bbv};
+            return core.execute(n, since, hooks);
+        });
+      case SimMode::FunctionalWarm:
+        return withBbv([&](auto bbv, std::uint64_t &since) {
+            WithBbv<WarmHooks, decltype(bbv)> hooks{
+                {{},
+                 *hierarchy_,
+                 *branch_unit_,
+                 config_.pipeline.bytes_per_inst,
+                 static_cast<std::uint32_t>(std::countr_zero(
+                     config_.hierarchy.l1i.line_bytes)),
+                 warm_fetch_line_},
+                bbv};
+            const std::uint64_t done = core.execute(n, since, hooks);
+            warm_fetch_line_ = hooks.fetch_line;
+            return done;
+        });
+      case SimMode::DetailedWarm:
+      case SimMode::DetailedMeasure:
+        return withBbv([&](auto bbv, std::uint64_t &since) {
+            WithBbv<DetailedHooks, decltype(bbv)> hooks{
+                {{}, *pipeline_, core.decodedInsts()}, bbv};
+            return core.execute(n, since, hooks);
+        });
+    }
+    return 0;
+}
+
 template <bool with_bbv>
 std::uint64_t
 SimulationEngine::runFunctional(std::uint64_t n, bool warm)
 {
-    if (!warm && fast_path_enabled_) {
-        // Fast-forward fast path: batched pre-decoded dispatch, no
-        // DynInst population. The taken-branch callback is the only
-        // side channel; ops_since_taken_ carries across chunks (by
-        // reference) so harvests match the step() path bit for bit.
-        // In the dominant configuration — hashed BBV only — the
-        // callback is a single inlined LUT-hash accumulate, with no
-        // virtual dispatch anywhere on the path.
-        if constexpr (with_bbv) {
-            if (hashed_bbv_enabled_ && !full_bbv_enabled_) {
-                bbv::HashedBbv &hashed = hashed_bbv_;
-                return core_->runFastWith(
-                    n, ops_since_taken_,
-                    [&hashed](std::uint64_t addr, std::uint64_t ops) {
-                        hashed.onTakenBranch(addr, ops);
-                    });
-            }
-            bbv::HashedBbv *hashed =
-                hashed_bbv_enabled_ ? &hashed_bbv_ : nullptr;
-            bbv::FullBbvCollector *full =
-                full_bbv_enabled_ ? &full_bbv_ : nullptr;
-            return core_->runFastWith(
-                n, ops_since_taken_,
-                [hashed, full](std::uint64_t addr, std::uint64_t ops) {
-                    if (hashed)
-                        hashed->onTakenBranch(addr, ops);
-                    if (full)
-                        full->onTakenBranch(addr, ops);
-                });
-        } else {
-            return core_->runFast(n);
-        }
-    }
-
     cpu::DynInst rec;
     const std::uint32_t line_bytes = config_.hierarchy.l1i.line_bytes;
     const std::uint32_t bytes_per_inst = config_.pipeline.bytes_per_inst;
@@ -236,24 +365,27 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
                          detailed ? obs::SpanCat::Detailed
                                   : obs::SpanCat::Ff);
 
+    const bool warm = mode == SimMode::FunctionalWarm;
     std::uint64_t done = 0;
+    if (fast_path_enabled_)
+        done = execute(n, mode);
+    else if (detailed)
+        done = bbv ? runDetailed<true>(n) : runDetailed<false>(n);
+    else
+        done = bbv ? runFunctional<true>(n, warm)
+                   : runFunctional<false>(n, warm);
+
     switch (mode) {
       case SimMode::FunctionalFast:
-        done = bbv ? runFunctional<true>(n, false)
-                   : runFunctional<false>(n, false);
         mode_ops_.functional_fast += done;
         break;
       case SimMode::FunctionalWarm:
-        done = bbv ? runFunctional<true>(n, true)
-                   : runFunctional<false>(n, true);
         mode_ops_.functional_warm += done;
         break;
       case SimMode::DetailedWarm:
-        done = bbv ? runDetailed<true>(n) : runDetailed<false>(n);
         mode_ops_.detailed_warm += done;
         break;
       case SimMode::DetailedMeasure:
-        done = bbv ? runDetailed<true>(n) : runDetailed<false>(n);
         mode_ops_.detailed_measure += done;
         break;
     }

@@ -183,9 +183,10 @@ class SimulationEngine
     void reset();
 
     /**
-     * Enable/disable the batched fast-forward fast path (on by
-     * default). FunctionalFast mode then falls back to the step()
-     * interpreter — only useful for differential testing.
+     * Enable/disable the FastOp execute loop (on by default). Every
+     * mode then falls back to the step() interpreter and its DynInst
+     * loops, the reference the loop is tested against — only useful
+     * for differential testing.
      */
     void setFastPathEnabled(bool enabled)
     {
@@ -200,6 +201,12 @@ class SimulationEngine
     timing::InOrderPipeline &pipeline() { return *pipeline_; }
 
   private:
+    /** Up to @p n ops of @p mode on the core's execute loop. */
+    std::uint64_t execute(std::uint64_t n, SimMode mode);
+    template <typename Run>
+    std::uint64_t withBbv(Run &&run);
+
+    // The step() reference loops (setFastPathEnabled(false)).
     template <bool with_bbv>
     std::uint64_t runFunctional(std::uint64_t n, bool warm);
     template <bool with_bbv>

@@ -1,6 +1,5 @@
 #include "timing/branch_unit.hh"
 
-#include "isa/program.hh"
 #include "obs/stats.hh"
 
 namespace pgss::timing
@@ -11,63 +10,6 @@ BranchUnit::BranchUnit(const BranchUnitConfig &config)
       predictor_(config.predictor_entries, config.history_bits),
       btb_(config.btb_entries), ras_(config.ras_depth)
 {
-}
-
-bool
-BranchUnit::predictAndTrain(const cpu::DynInst &rec)
-{
-    const std::uint64_t pc_addr = isa::instAddr(rec.pc);
-    const std::uint64_t target_addr = isa::instAddr(rec.next_pc);
-
-    bool mispredict = false;
-
-    if (rec.is_branch) {
-        ++stats_.branches;
-        const bool pred_taken = predictor_.predict(pc_addr);
-        if (pred_taken != rec.taken) {
-            mispredict = true;
-        } else if (rec.taken) {
-            std::uint64_t pred_target = 0;
-            if (!btb_.lookup(pc_addr, pred_target) ||
-                pred_target != target_addr) {
-                mispredict = true;
-            }
-        }
-        predictor_.update(pc_addr, rec.taken);
-        if (rec.taken)
-            btb_.update(pc_addr, target_addr);
-    } else if (rec.is_jump) {
-        ++stats_.jumps;
-        const bool is_call =
-            rec.op == isa::Opcode::Jal && rec.rd == config_.link_reg;
-        const bool is_return =
-            rec.op == isa::Opcode::Jalr && rec.rs1 == config_.link_reg;
-
-        if (is_return) {
-            // Returns are predicted through the RAS.
-            const std::uint64_t pred = ras_.pop();
-            mispredict = pred != target_addr;
-            if (mispredict)
-                ++stats_.ras_mispredicts;
-        } else {
-            std::uint64_t pred_target = 0;
-            if (!btb_.lookup(pc_addr, pred_target) ||
-                pred_target != target_addr) {
-                mispredict = true;
-            }
-            btb_.update(pc_addr, target_addr);
-        }
-        if (is_call)
-            ras_.push(isa::instAddr(rec.pc + 1));
-    } else {
-        return false;
-    }
-
-    if (rec.taken)
-        ++stats_.taken;
-    if (mispredict)
-        ++stats_.mispredicts;
-    return mispredict;
 }
 
 void

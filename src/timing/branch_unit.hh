@@ -15,6 +15,7 @@
 #include "branch/btb.hh"
 #include "branch/predictor.hh"
 #include "cpu/dyn_inst.hh"
+#include "isa/program.hh"
 
 namespace pgss::obs
 {
@@ -55,8 +56,10 @@ struct BranchStats
 
 /**
  * Owns all branch-prediction state and exposes the single operation
- * both simulation modes need: predict this control instruction and
- * train on its outcome.
+ * every simulation mode needs: predict this control instruction and
+ * train on its outcome. train() is that operation; predictAndTrain()
+ * is its DynInst form. Both are header-inline so the warming loop
+ * gets them without a call.
  */
 class BranchUnit
 {
@@ -65,11 +68,29 @@ class BranchUnit
 
     /**
      * Predict and train on one retired control-flow instruction.
-     * @param rec the retired instruction (branch or jump).
+     * @param pc instruction index.
+     * @param target index of the next instruction executed (pc + 1
+     *        for a branch not taken).
+     * @param taken whether the transfer was taken.
+     * @param kind the instruction's class (cpu::controlKind with this
+     *        unit's link register); None trains nothing.
      * @return true when the front end would have misfetched: wrong
      *         direction, or taken with a wrong/missing target.
      */
-    bool predictAndTrain(const cpu::DynInst &rec);
+    bool train(std::uint64_t pc, std::uint64_t target, bool taken,
+               cpu::ControlKind kind);
+
+    /**
+     * train() on one retired instruction @p rec, classified by its
+     * architectural opcode, rd and rs1.
+     */
+    bool
+    predictAndTrain(const cpu::DynInst &rec)
+    {
+        return train(rec.pc, rec.next_pc, rec.taken,
+                     cpu::controlKind(rec.is_branch, rec.is_jump, rec.op,
+                                      rec.rd, rec.rs1, config_.link_reg));
+    }
 
     /** Accumulated statistics. */
     const BranchStats &stats() const { return stats_; }
@@ -106,6 +127,60 @@ class BranchUnit
     branch::ReturnAddressStack ras_;
     BranchStats stats_;
 };
+
+inline bool
+BranchUnit::train(std::uint64_t pc, std::uint64_t target, bool taken,
+                  cpu::ControlKind kind)
+{
+    using cpu::ControlKind;
+    if (kind == ControlKind::None)
+        return false;
+
+    const std::uint64_t pc_addr = isa::instAddr(pc);
+    const std::uint64_t target_addr = isa::instAddr(target);
+    bool mispredict = false;
+
+    if (kind == ControlKind::Branch) {
+        ++stats_.branches;
+        const bool pred_taken = predictor_.predict(pc_addr);
+        if (pred_taken != taken) {
+            mispredict = true;
+        } else if (taken) {
+            std::uint64_t pred_target = 0;
+            if (!btb_.lookup(pc_addr, pred_target) ||
+                pred_target != target_addr) {
+                mispredict = true;
+            }
+        }
+        predictor_.update(pc_addr, taken);
+        if (taken)
+            btb_.update(pc_addr, target_addr);
+    } else {
+        ++stats_.jumps;
+        if (kind == ControlKind::Return) {
+            // Returns are predicted through the RAS.
+            const std::uint64_t pred = ras_.pop();
+            mispredict = pred != target_addr;
+            if (mispredict)
+                ++stats_.ras_mispredicts;
+        } else {
+            std::uint64_t pred_target = 0;
+            if (!btb_.lookup(pc_addr, pred_target) ||
+                pred_target != target_addr) {
+                mispredict = true;
+            }
+            btb_.update(pc_addr, target_addr);
+        }
+        if (kind == ControlKind::Call)
+            ras_.push(isa::instAddr(pc + 1));
+    }
+
+    if (taken)
+        ++stats_.taken;
+    if (mispredict)
+        ++stats_.mispredicts;
+    return mispredict;
+}
 
 } // namespace pgss::timing
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Differential tests for the batched fast-forward fast path:
- * runFastWith() must retire exactly the architectural state, dirty
- * pages and BBV harvests the step() interpreter produces, over every
- * suite workload and input set and across arbitrary chunk
- * boundaries.
+ * Differential tests for the execute loop: in every simulation mode it
+ * must leave exactly the architectural state, dirty pages, cache and
+ * branch-predictor state, BBV harvests, statistics and cycle counts
+ * that the step() interpreter's reference loops produce
+ * (setFastPathEnabled(false)), over every suite workload and input
+ * set and across arbitrary chunk boundaries.
  */
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/functional_core.hh"
+#include "obs/stats.hh"
 #include "sim/checkpoint.hh"
 #include "sim/engine.hh"
 #include "tests/helpers.hh"
@@ -43,23 +45,42 @@ deltaBytes(sim::SimulationEngine &e)
     return e.checkpointDelta().serialize();
 }
 
-/** Run one workload/input set on the fast path and on step() side
- *  by side; the state and dirty-page set must agree after every
- *  chunk and at the end. */
+/**
+ * Run one workload/input set in @p mode on the execute loop and on the
+ * step() reference side by side. After every chunk the state and
+ * dirty-page set (checkpointDelta: memory, caches with their LRU
+ * stamps and tick, predictor, BTB, warm_fetch_line_), the hashed BBV
+ * harvest and every engine.* statistic (which alone pin the RAS, as it
+ * is not part of checkpoints) must agree. Warm and detailed modes run
+ * with the hashed BBV on, as PGSS runs them; FunctionalFast with it
+ * off, so the untracked taken-branch count is checked too.
+ */
 void
-expectFastMatchesStep(const std::string &name, std::uint32_t input)
+expectFastMatchesStep(const std::string &name, std::uint32_t input,
+                      SimMode mode, const sim::EngineConfig &config = {})
 {
-    const std::string where = name + " input " + std::to_string(input);
+    const std::string where = name + " input " + std::to_string(input) +
+                              " " + sim::modeName(mode);
     auto built = workload::buildWorkload(name, 0.01, input);
 
-    sim::SimulationEngine fast(built.program);
-    sim::SimulationEngine slow(built.program);
+    sim::SimulationEngine fast(built.program, config);
+    sim::SimulationEngine slow(built.program, config);
     slow.setFastPathEnabled(false);
+    obs::StatsRegistry fast_stats, slow_stats;
+    fast.registerStats(fast_stats.root());
+    slow.registerStats(slow_stats.root());
+    const bool bbv = mode != SimMode::FunctionalFast;
+    fast.setHashedBbvEnabled(bbv);
+    slow.setHashedBbvEnabled(bbv);
 
     for (const std::uint64_t n : chunks) {
-        fast.run(n, SimMode::FunctionalFast);
-        slow.run(n, SimMode::FunctionalFast);
+        EXPECT_EQ(fast.run(n, mode).cycles, slow.run(n, mode).cycles)
+            << where << " chunk " << n;
         EXPECT_EQ(deltaBytes(fast), deltaBytes(slow))
+            << where << " chunk " << n;
+        EXPECT_EQ(fast.harvestHashedBbvRaw(), slow.harvestHashedBbvRaw())
+            << where << " chunk " << n;
+        EXPECT_EQ(fast_stats.flattenValues(), slow_stats.flattenValues())
             << where << " chunk " << n;
     }
 
@@ -74,7 +95,7 @@ expectFastMatchesStep(const std::string &name, std::uint32_t input)
 TEST(CpuFastPath, MatchesStepAcrossSuiteWorkloads)
 {
     for (const std::string &name : workload::suiteNames())
-        expectFastMatchesStep(name, 0);
+        expectFastMatchesStep(name, 0, SimMode::FunctionalFast);
 }
 
 /** The alternate input sets take different data-dependent branches
@@ -83,7 +104,85 @@ TEST(CpuFastPath, MatchesStepAcrossSuiteWorkloadsAndInputs)
 {
     for (const std::string &name : workload::suiteNames()) {
         for (std::uint32_t input = 1; input < 3; ++input)
-            expectFastMatchesStep(name, input);
+            expectFastMatchesStep(name, input, SimMode::FunctionalFast);
+    }
+}
+
+TEST(CpuFastPath, WarmMatchesStepAcrossSuiteWorkloadsAndInputs)
+{
+    for (const std::string &name : workload::suiteNames()) {
+        for (std::uint32_t input = 0; input < 3; ++input)
+            expectFastMatchesStep(name, input, SimMode::FunctionalWarm);
+    }
+}
+
+TEST(CpuFastPath, DetailedMatchesStepAcrossSuiteWorkloadsAndInputs)
+{
+    for (const std::string &name : workload::suiteNames()) {
+        for (std::uint32_t input = 0; input < 3; ++input)
+            expectFastMatchesStep(name, input, SimMode::DetailedMeasure);
+    }
+}
+
+/** The pre-decoded call/return classes follow the configured link
+ *  register, not the suite's default one. */
+TEST(CpuFastPath, WarmMatchesStepWithAnotherLinkRegister)
+{
+    sim::EngineConfig config;
+    config.branch.link_reg = 2;
+    expectFastMatchesStep("164.gzip", 0, SimMode::FunctionalWarm, config);
+}
+
+/**
+ * PGSS-shaped mode sequence: functional warming to an offset inside
+ * each period, a 3,000-op DetailedWarm and a 1,000-op DetailedMeasure
+ * window, then warming to the period's end. Every window's cycles, and
+ * the state at every period's end, must match the step() reference:
+ * the detailed windows see the cache and predictor state the warm
+ * loop left, and warming-order slips that later accesses would paper
+ * over show in the LRU stamps.
+ */
+TEST(CpuFastPath, PgssShapedSequenceMatchesStep)
+{
+    constexpr std::uint64_t period = 100'000;
+    for (const std::string &name : workload::suiteNames()) {
+        auto built = workload::buildWorkload(name, 0.01);
+
+        sim::SimulationEngine fast(built.program);
+        sim::SimulationEngine slow(built.program);
+        slow.setFastPathEnabled(false);
+        obs::StatsRegistry fast_stats, slow_stats;
+        fast.registerStats(fast_stats.root());
+        slow.registerStats(slow_stats.root());
+        fast.setHashedBbvEnabled(true);
+        slow.setHashedBbvEnabled(true);
+
+        std::uint64_t offset = 12'345;
+        for (int window = 0; !fast.halted() && !slow.halted(); ++window) {
+            const std::string where =
+                name + " window " + std::to_string(window);
+            const auto both = [&](std::uint64_t n, SimMode mode) {
+                const sim::RunResult f = fast.run(n, mode);
+                const sim::RunResult s = slow.run(n, mode);
+                EXPECT_EQ(f.ops, s.ops)
+                    << where << " " << sim::modeName(mode);
+                EXPECT_EQ(f.cycles, s.cycles)
+                    << where << " " << sim::modeName(mode);
+            };
+            both(offset, SimMode::FunctionalWarm);
+            both(3'000, SimMode::DetailedWarm);
+            both(1'000, SimMode::DetailedMeasure);
+            both(period - offset - 4'000, SimMode::FunctionalWarm);
+            EXPECT_EQ(fast.harvestHashedBbv(), slow.harvestHashedBbv())
+                << where;
+            EXPECT_EQ(deltaBytes(fast), deltaBytes(slow)) << where;
+            offset = (offset * 7 + 1'013) % (period - 4'000);
+        }
+
+        EXPECT_EQ(fast.halted(), slow.halted()) << name;
+        EXPECT_EQ(fast_stats.flattenValues(), slow_stats.flattenValues())
+            << name;
+        EXPECT_EQ(stateBytes(fast), stateBytes(slow)) << name;
     }
 }
 
@@ -169,7 +268,9 @@ TEST(CpuFastPath, CoreLevelRunFastMatchesStep)
     cpu::FunctionalCore a(built.program, mem_a);
     cpu::FunctionalCore b(built.program, mem_b);
 
-    const std::uint64_t done = a.runFast(30'000);
+    cpu::NoHooks hooks;
+    std::uint64_t since = 0;
+    const std::uint64_t done = a.execute(30'000, since, hooks);
     cpu::DynInst rec;
     std::uint64_t stepped = 0;
     while (stepped < 30'000 && b.step(rec))
