@@ -14,74 +14,21 @@
  * rows run FunctionalWarm with the hashed BBV on, as PGSS runs it, so
  * they show the warm loop's dispatch and hook cost directly. Since
  * the simulated work is identical across the two loops of a mode, the
- * ops/s deltas are pure dispatch cost. Best-of-3 per variant: the
- * numbers feed perf-smoke CI, where run-to-run noise on shared
- * runners is large.
+ * ops/s deltas are pure dispatch cost. Each variant is measured by
+ * bench::measureRates, the loop fig13's rates use, and reported as
+ * the best of three interleaved repetitions: the numbers feed
+ * perf-smoke CI, where run-to-run noise on shared runners is large.
  */
 
-#include <chrono>
-#include <cstdint>
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <memory>
+#include <vector>
 
 #include "bench/support.hh"
-#include "sim/engine.hh"
 #include "util/table.hh"
-#include "workload/suite.hh"
 
 using namespace pgss;
-
-namespace
-{
-
-/** One dispatch variant: a name, the fast-path switch and the mode. */
-struct Variant
-{
-    const char *name;
-    bool fast_path;
-    sim::SimMode mode;
-};
-
-/** Best-of-3 ops/sec for @p v over @p total_ops per repetition. */
-double
-measure(const workload::BuiltWorkload &built, const Variant &v,
-        std::uint64_t total_ops)
-{
-    const sim::EngineConfig config = bench::benchConfig();
-
-    const auto fresh = [&] {
-        auto engine = std::make_unique<sim::SimulationEngine>(
-            built.program, config);
-        engine->setFastPathEnabled(v.fast_path);
-        engine->setHashedBbvEnabled(v.mode == sim::SimMode::FunctionalWarm);
-        return engine;
-    };
-
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-        auto engine = fresh();
-        // Warm: the decode-table build happens here, so the timed
-        // region sees steady-state dispatch only.
-        engine->run(200'000, v.mode);
-
-        const auto t0 = std::chrono::steady_clock::now();
-        std::uint64_t ops = 0;
-        while (ops < total_ops) {
-            if (engine->halted())
-                engine = fresh();
-            ops += engine->run(100'000, v.mode).ops;
-        }
-        const double secs =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
-        best = std::max(best, static_cast<double>(ops) / secs);
-    }
-    return best;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -97,30 +44,28 @@ main(int argc, char **argv)
     const workload::BuiltWorkload built =
         workload::buildWorkload("164.gzip", 0.05);
 
-    // Enough ops that dispatch dominates timer noise, small enough
-    // for a CI smoke step (4 variants x 3 reps x 4M ops).
-    const std::uint64_t total_ops = 4'000'000;
-
     using sim::SimMode;
-    const Variant variants[] = {
-        {"interp-step", false, SimMode::FunctionalFast},
-        {"interp-fastop", true, SimMode::FunctionalFast},
-        {"warm-step", false, SimMode::FunctionalWarm},
-        {"warm-fastop", true, SimMode::FunctionalWarm},
+    const char *names[] = {"interp-step", "interp-fastop", "warm-step",
+                           "warm-fastop"};
+    const std::vector<bench::RateSpec> specs = {
+        {SimMode::FunctionalFast, false, false},
+        {SimMode::FunctionalFast, false, true},
+        {SimMode::FunctionalWarm, true, false},
+        {SimMode::FunctionalWarm, true, true},
     };
-    constexpr int n_variants = 4;
-
-    double rate[n_variants] = {};
-    for (int i = 0; i < n_variants; ++i)
-        rate[i] = measure(built, variants[i], total_ops);
+    const std::vector<std::vector<double>> samples =
+        bench::measureRates(built, specs, 3);
+    std::vector<double> rate;
+    for (const std::vector<double> &xs : samples)
+        rate.push_back(*std::max_element(xs.begin(), xs.end()));
 
     util::Table t("dispatch cost (164.gzip; interp: FunctionalFast, no "
                   "BBV; warm: FunctionalWarm, hashed BBV)");
     t.setHeader({"variant", "ops/s", "host MIPS", "vs step"});
-    for (int i = 0; i < n_variants; ++i) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
         // Each row against the step() loop of its own mode.
         const double step_rate = rate[i - i % 2];
-        t.addRow({variants[i].name, util::Table::fmtSci(rate[i], 3),
+        t.addRow({names[i], util::Table::fmtSci(rate[i], 3),
                   util::Table::fmt(rate[i] / 1e6, 1),
                   util::Table::fmt(rate[i] / step_rate, 2) + "x"});
     }

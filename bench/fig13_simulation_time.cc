@@ -4,10 +4,11 @@
  * simulator's measured per-mode execution rates (the paper's side
  * panel lists rates for fast-forward / functional fast-forward /
  * detailed warming / detailed simulation, with and without BBV
- * tracking). The per-mode rates are measured with google-benchmark
- * on this machine, then each technique's per-mode instruction counts
- * over the ten-workload suite are priced at those rates, exactly as
- * the paper composes its bars (no checkpointing assumed).
+ * tracking). All eight rates are measured on this machine over
+ * interleaved repetitions (bench::measureRates) and printed as
+ * median [min, max]; each technique's per-mode instruction counts
+ * over the ten-workload suite are then priced at the medians, exactly
+ * as the paper composes its bars (no checkpointing assumed).
  *
  * Absolute times differ from the paper's (their simulator ran at
  * ~10^5-10^6 ops/s; this one runs at ~10^7-10^8), and our
@@ -15,13 +16,12 @@
  * paper makes the same caveat about its own ratio in Section 6.
  */
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <memory>
-
-#include <benchmark/benchmark.h>
+#include <string>
+#include <vector>
 
 #include "analysis/phase_sequence.hh"
 #include "bench/support.hh"
@@ -34,68 +34,24 @@ using namespace pgss;
 namespace
 {
 
-/** Rate-measurement harness: run a workload chunkwise in one mode. */
-class RateRunner
+/** Interleaved repetitions per rate. */
+constexpr int kReps = 5;
+
+double
+median(std::vector<double> xs)
 {
-  public:
-    RateRunner(bool bbv, sim::SimMode mode)
-        : bbv_(bbv), mode_(mode),
-          built_(workload::buildWorkload("164.gzip", 0.05))
-    {
-        reset();
-    }
-
-    std::uint64_t
-    runChunk(std::uint64_t n)
-    {
-        if (engine_->halted())
-            reset();
-        const sim::RunResult r = engine_->run(n, mode_);
-        if (bbv_)
-            engine_->harvestHashedBbv();
-        return r.ops;
-    }
-
-  private:
-    void
-    reset()
-    {
-        engine_ = std::make_unique<sim::SimulationEngine>(
-            built_.program, bench::benchConfig());
-        engine_->setHashedBbvEnabled(bbv_);
-    }
-
-    bool bbv_;
-    sim::SimMode mode_;
-    workload::BuiltWorkload built_;
-    std::unique_ptr<sim::SimulationEngine> engine_;
-};
-
-void
-rateBenchmark(benchmark::State &state, bool bbv, sim::SimMode mode)
-{
-    RateRunner runner(bbv, mode);
-    std::uint64_t ops = 0;
-    for (auto _ : state)
-        ops += runner.runChunk(100'000);
-    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
+    std::sort(xs.begin(), xs.end());
+    return xs[xs.size() / 2];
 }
 
-/** Wall-clock ops/sec of one mode (for the composition section). */
-double
-measureRate(bool bbv, sim::SimMode mode)
+/** "median [min, max]" of one rate's repetitions. */
+std::string
+fmtRate(const std::vector<double> &xs)
 {
-    RateRunner runner(bbv, mode);
-    runner.runChunk(200'000); // warm the harness
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t ops = 0;
-    while (ops < 4'000'000)
-        ops += runner.runChunk(100'000);
-    const double secs =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    return static_cast<double>(ops) / secs;
+    const auto [lo, hi] = std::minmax_element(xs.begin(), xs.end());
+    return util::Table::fmtSci(median(xs), 3) + " [" +
+           util::Table::fmtSci(*lo, 3) + ", " +
+           util::Table::fmtSci(*hi, 3) + "]";
 }
 
 } // namespace
@@ -106,61 +62,57 @@ main(int argc, char **argv)
     bench::init(argc, argv, "fig13_simulation_time");
     bench::printHeader(
         "Figure 13 - total simulation time per technique",
-        "Per-mode rates measured with google-benchmark; technique "
-        "totals composed from per-mode op counts.");
+        "Per-mode rates measured over interleaved repetitions; "
+        "technique totals composed from per-mode op counts.");
 
+    // ---- Rates: every mode with and without BBV, on a fixed small
+    // gzip build (the rates need identical work, not suite scale).
+    // modes[] lists SimMode in declaration order, so the spec of
+    // (mode, bbv) is samples[2 * mode + bbv].
     using sim::SimMode;
-    benchmark::Initialize(&argc, argv);
-    benchmark::RegisterBenchmark("rate/fast_forward_with_bbv",
-                                 rateBenchmark, true,
-                                 SimMode::FunctionalFast);
-    benchmark::RegisterBenchmark("rate/functional_ff_with_bbv",
-                                 rateBenchmark, true,
-                                 SimMode::FunctionalWarm);
-    benchmark::RegisterBenchmark("rate/detailed_warming_with_bbv",
-                                 rateBenchmark, true,
-                                 SimMode::DetailedWarm);
-    benchmark::RegisterBenchmark("rate/detailed_sim_with_bbv",
-                                 rateBenchmark, true,
-                                 SimMode::DetailedMeasure);
-    benchmark::RegisterBenchmark("rate/functional_ff_no_bbv",
-                                 rateBenchmark, false,
-                                 SimMode::FunctionalWarm);
-    benchmark::RegisterBenchmark("rate/detailed_warming_no_bbv",
-                                 rateBenchmark, false,
-                                 SimMode::DetailedWarm);
-    benchmark::RegisterBenchmark("rate/detailed_sim_no_bbv",
-                                 rateBenchmark, false,
-                                 SimMode::DetailedMeasure);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    struct ModeRow
+    {
+        const char *name;
+        SimMode mode;
+    };
+    const ModeRow modes[] = {
+        {"fast-forward", SimMode::FunctionalFast},
+        {"functional warming", SimMode::FunctionalWarm},
+        {"detailed warming", SimMode::DetailedWarm},
+        {"detailed simulation", SimMode::DetailedMeasure},
+    };
+    std::vector<bench::RateSpec> specs;
+    for (const ModeRow &m : modes)
+        for (bool bbv : {false, true})
+            specs.push_back({m.mode, bbv});
+    const std::vector<std::vector<double>> samples =
+        bench::measureRates(workload::buildWorkload("164.gzip", 0.05),
+                            specs, kReps);
+    const auto rate = [&samples](SimMode mode, bool bbv) {
+        return median(
+            samples[2 * static_cast<std::size_t>(mode) + (bbv ? 1 : 0)]);
+    };
+    const double r_ff_bbv = rate(SimMode::FunctionalFast, true);
+    const double r_warm = rate(SimMode::FunctionalWarm, false);
+    const double r_warm_bbv = rate(SimMode::FunctionalWarm, true);
+    const double r_det = rate(SimMode::DetailedMeasure, false);
+    const double r_det_bbv = rate(SimMode::DetailedMeasure, true);
 
-    // ---- Composition: price each technique's per-mode op counts.
-    const double r_ff_bbv =
-        measureRate(true, SimMode::FunctionalFast);
-    const double r_warm_bbv =
-        measureRate(true, SimMode::FunctionalWarm);
-    const double r_det_bbv =
-        measureRate(true, SimMode::DetailedMeasure);
-    const double r_ff = measureRate(false, SimMode::FunctionalFast);
-    const double r_warm =
-        measureRate(false, SimMode::FunctionalWarm);
-    const double r_det =
-        measureRate(false, SimMode::DetailedMeasure);
-
-    std::printf("\nmeasured rates (ops/sec):\n");
-    std::printf("  fast-forward            %12.3e (with BBV "
-                "%12.3e)\n",
-                r_ff, r_ff_bbv);
-    std::printf("  functional fast-forward %12.3e (with BBV "
-                "%12.3e)\n",
-                r_warm, r_warm_bbv);
-    std::printf("  detailed simulation     %12.3e (with BBV "
-                "%12.3e)\n",
-                r_det, r_det_bbv);
-    std::printf("  BBV overhead on detailed simulation: %.1f%% "
+    util::Table rt("per-mode simulation rates (ops/s, 164.gzip): "
+                   "median [min, max] of " +
+                   std::to_string(kReps) + " interleaved repetitions");
+    rt.setHeader({"mode", "no BBV", "with BBV"});
+    for (int m = 0; m < 4; ++m)
+        rt.addRow({modes[m].name, fmtRate(samples[2 * m]),
+                   fmtRate(samples[2 * m + 1])});
+    std::printf("\n");
+    rt.print(std::cout);
+    std::printf("BBV overhead on detailed simulation: %.1f%% "
                 "(paper: ~1%%)\n",
                 100.0 * (r_det / r_det_bbv - 1.0));
+    std::printf("BBV overhead on functional warming: %.1f%% "
+                "(paper: nil)\n\n",
+                100.0 * (r_warm / r_warm_bbv - 1.0));
 
     // Per-technique op counts over the whole suite. Each entry's
     // contributions land in slot b (computed on harness workers);

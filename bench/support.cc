@@ -1,5 +1,6 @@
 #include "bench/support.hh"
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -331,6 +332,53 @@ decodeDoubles(const std::string &payload, std::vector<double> &out)
             ++p;
     }
     return true;
+}
+
+namespace
+{
+
+double
+measureRate(const workload::BuiltWorkload &built, const RateSpec &spec)
+{
+    const auto fresh = [&] {
+        auto engine = std::make_unique<sim::SimulationEngine>(
+            built.program, benchConfig());
+        engine->setFastPathEnabled(spec.fast_path);
+        engine->setHashedBbvEnabled(spec.bbv);
+        return engine;
+    };
+    std::unique_ptr<sim::SimulationEngine> engine = fresh();
+    const auto chunk = [&](std::uint64_t n) {
+        if (engine->halted())
+            engine = fresh();
+        const std::uint64_t done = engine->run(n, spec.mode).ops;
+        if (spec.bbv)
+            engine->harvestHashedBbv();
+        return done;
+    };
+
+    chunk(200'000);
+    const auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t ops = 0;
+    while (ops < 4'000'000)
+        ops += chunk(100'000);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    return static_cast<double>(ops) / secs;
+}
+
+} // anonymous namespace
+
+std::vector<std::vector<double>>
+measureRates(const workload::BuiltWorkload &built,
+             const std::vector<RateSpec> &specs, int reps)
+{
+    std::vector<std::vector<double>> rates(specs.size());
+    for (int r = 0; r < reps; ++r)
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            rates[i].push_back(measureRate(built, specs[i]));
+    return rates;
 }
 
 void

@@ -131,6 +131,28 @@ std::string encodeDoubles(const std::vector<double> &xs);
 bool decodeDoubles(const std::string &payload,
                    std::vector<double> &out);
 
+/** One host-throughput measurement of measureRates(). */
+struct RateSpec
+{
+    sim::SimMode mode = sim::SimMode::FunctionalFast;
+    bool bbv = false;      ///< hashed BBV on, harvested every chunk
+    bool fast_path = true; ///< false: the step() oracle loops
+};
+
+/**
+ * Host throughput (simulated ops per second) of every spec in
+ * @p specs on @p built, over @p reps interleaved repetitions:
+ * repetition r measures each spec in turn, so host drift lands on
+ * every spec alike. One measurement builds a fresh engine, runs an
+ * untimed 200k-op warm-up (the decode-table build lands there), then
+ * times 100k-op chunks until 4M ops have run, harvesting the hashed
+ * BBV after each chunk when it is on and restarting the program when
+ * it halts. @return rates[spec][repetition].
+ */
+std::vector<std::vector<double>>
+measureRates(const workload::BuiltWorkload &built,
+             const std::vector<RateSpec> &specs, int reps);
+
 /** Print the standard bench header (figure id, scale, note). */
 void printHeader(const std::string &figure, const std::string &note);
 

@@ -249,6 +249,7 @@ loadReportFromString(const std::string &text, LoadedReport &out,
     if (const JsonValue *partial = out.doc.get("partial"))
         out.partial = partial->isBool() && partial->boolean;
     out.values.clear();
+    // "perf" exists only in version-1 reports (and bench snapshots).
     for (const char *section : {"meta", "perf", "stats", "profile"})
         if (const JsonValue *v = out.doc.get(section))
             if (v->isObject())
@@ -282,27 +283,6 @@ renderReport(std::ostream &os, const LoadedReport &report)
     if (report.partial)
         os << "  ** PARTIAL: the run exited abnormally; values below "
               "cover only the completed portion **\n";
-
-    const JsonValue *perf = report.doc.get("perf");
-    if (perf && perf->isObject() && !perf->object.empty()) {
-        util::Table t("host perf");
-        t.setHeader({"mode", "calls", "ops", "seconds", "mips"});
-        for (const auto &entry : perf->object) {
-            const JsonValue &h = entry.second;
-            const JsonValue *calls = h.get("calls");
-            const JsonValue *ops = h.get("ops");
-            const JsonValue *seconds = h.get("seconds");
-            const JsonValue *mips = h.get("mips");
-            t.addRow({entry.first,
-                      util::Table::fmtCount(calls ? calls->asUint()
-                                                  : 0),
-                      util::Table::fmtCount(ops ? ops->asUint() : 0),
-                      fmtNum(seconds ? seconds->asNumber() : kNan),
-                      fmtNum(mips ? mips->asNumber() : kNan)});
-        }
-        t.print(os);
-        os << "\n";
-    }
 
     // Stats flatten to dotted paths already; one table covers
     // counters, scalars, formulas, and vector elements.
@@ -684,12 +664,9 @@ checkReport(const LoadedReport &report)
         res.violations.push_back("missing or zero schema_version");
     if (report.program.empty())
         res.violations.push_back("empty 'program' field");
-    for (const char *section : {"perf", "stats"}) {
-        const JsonValue *v = doc.get(section);
-        if (!v || !v->isObject())
-            res.violations.push_back(std::string("missing '") +
-                                     section + "' object");
-    }
+    const JsonValue *stats = doc.get("stats");
+    if (!stats || !stats->isObject())
+        res.violations.push_back("missing 'stats' object");
     if (report.partial)
         res.warnings.push_back(
             "partial report: the run exited abnormally");
@@ -928,17 +905,25 @@ benchSnapshotFromReport(const LoadedReport &report,
         if (path.rfind("meta.", 0) == 0 && std::isfinite(v))
             w.field(path.substr(5), v);
     w.endObject();
-    // The whole perf section verbatim: snapshots reload through
-    // loadReport(), so paths like "perf.detailed_measure.mips" line
-    // up exactly with a live report's for the gate and for diffs.
+    // One "mode.<mode>" object per engine mode span (the ff/detailed
+    // "engine.<mode>" rows; engine.reset is a checkpoint span). The
+    // "perf.mode.<mode>.*" layout is the one every committed
+    // BENCH_pr<N>.json carries, so fresh snapshots and old baselines
+    // line up path for path.
     w.beginObject("perf");
-    const JsonValue *perf = report.doc.get("perf");
-    if (perf && perf->isObject()) {
-        for (const auto &[mode, h] : perf->object) {
-            w.beginObject(mode);
-            for (const auto &[key, v] : h.object)
-                if (v.isNumber())
-                    w.field(key, v.number);
+    const JsonValue *profile = profileSection(report);
+    const JsonValue *flat = profile ? profile->get("flat") : nullptr;
+    if (flat && flat->isObject()) {
+        for (const auto &[name, row] : flat->object) {
+            const JsonValue *cat = row.get("cat");
+            if (name.rfind("engine.", 0) != 0 || !cat ||
+                (cat->string != "ff" && cat->string != "detailed"))
+                continue;
+            w.beginObject("mode." + name.substr(7));
+            w.field("calls", numberAt(row, "calls"));
+            w.field("ops", numberAt(row, "ops"));
+            w.field("seconds", numberAt(row, "total_seconds"));
+            w.field("mips", numberAt(row, "mips"));
             w.endObject();
         }
     }

@@ -4,8 +4,9 @@
  * `tools/pgss_report`. Consumes pgss-run-report JSON documents (and
  * optionally a trace JSONL stream) and provides:
  *
- *  - loadReport(): parse + flatten every numeric leaf ("perf.*",
- *    "stats.*", "profile.*", numeric "meta.*") to its dotted path
+ *  - loadReport(): parse + flatten every numeric leaf ("stats.*",
+ *    "profile.*", numeric "meta.*", and the "perf.*" of version-1
+ *    reports and bench snapshots) to its dotted path
  *  - renderReport(): aligned text tables plus ASCII phase timelines
  *    and per-phase CI-convergence curves from the "timelines" section
  *  - renderProfile()/renderProfileDiff(): the span-profiling
@@ -18,10 +19,10 @@
  *    accounting (lines == emitted - dropped) — the `pgss_report
  *    check` CI gate
  *  - benchSnapshotFromReport()/checkAgainstBaseline(): the perf
- *    history — distil a run report into a pgss-bench-snapshot
- *    document (BENCH_pr<N>.json) and gate a fresh report's
- *    perf.<mode>.mips against a committed baseline with a relative
- *    tolerance
+ *    history — distil a run report's per-mode engine spans into a
+ *    pgss-bench-snapshot document (BENCH_pr<N>.json) and gate a
+ *    fresh snapshot's perf.<mode>.mips against a committed baseline
+ *    with a relative tolerance
  *
  * Kept in src/obs (not tools/) so the logic is unit-testable against
  * the golden reports in tests/data/.
@@ -51,8 +52,9 @@ struct LoadedReport
 
     /**
      * Every numeric leaf as (dotted path, value), document order:
-     * "perf.mode.functional_warm.mips", "stats.engine.total_ops",
-     * "meta.workload_scale", ... Null leaves (non-finite doubles)
+     * "stats.engine.total_ops", "meta.workload_scale",
+     * "profile.flat.engine.functional_warm.mips", ... Null leaves
+     * (non-finite doubles)
      * appear as NaN. The "timelines" section is not flattened.
      */
     std::vector<std::pair<std::string, double>> values;
@@ -70,9 +72,9 @@ bool loadReport(const std::string &path, LoadedReport &out,
                 std::string *error);
 
 /**
- * Render header, perf table, stats table, and — when the report has
- * a "timelines" section — the ASCII phase timeline and per-phase
- * CI-convergence curves of every recorded run.
+ * Render header, stats table, the "profile" section when present,
+ * and — when the report has a "timelines" section — the ASCII phase
+ * timeline and per-phase CI-convergence curves of every recorded run.
  */
 void renderReport(std::ostream &os, const LoadedReport &report);
 
@@ -149,19 +151,23 @@ CheckResult checkTrace(std::istream &in);
 
 /**
  * Distil @p report into a pgss-bench-snapshot JSON document: schema
- * identity, @p label (e.g. "pr4"), the program, numeric meta, and the
- * whole "perf" section (per-mode calls/ops/seconds/mips). Snapshots
- * are small enough to commit (BENCH_pr<N>.json at the repo root) and
- * loadReport() reads them back, so the same dotted perf paths line up
- * between a snapshot and a live report.
+ * identity, @p label (e.g. "pr4"), the program, numeric meta, and a
+ * "perf" object with one "mode.<mode>" entry (calls, ops, seconds,
+ * mips) per "profile.flat" row of the engine's "engine.<mode>" spans;
+ * seconds is the row's total. A report without a profile section
+ * yields an empty "perf" object. Snapshots are small enough to commit
+ * (BENCH_pr<N>.json at the repo root) and loadReport() reads them
+ * back, so "perf.mode.<mode>.mips" lines up between a fresh snapshot
+ * and every committed baseline.
  */
 std::string benchSnapshotFromReport(const LoadedReport &report,
                                     const std::string &label);
 
 /**
  * The perf-history regression gate: compare every finite positive
- * "perf.*.mips" path of @p baseline (a bench snapshot or a full run
- * report) against @p report. A path whose current throughput is below
+ * "perf.*.mips" path of @p baseline (a bench snapshot) against
+ * @p report (a snapshot of the run under test, or a version-1 report
+ * with its "perf" section). A path whose current throughput is below
  * baseline * (1 - tolerance) is a violation; one above
  * baseline * (1 + tolerance) is a warning suggesting a baseline
  * refresh; a baseline path missing from the report is a warning. A

@@ -201,6 +201,7 @@ defaultMetricType(const std::string &path)
         return path.size() >= n &&
                path.compare(path.size() - n, n, suffix) == 0;
     };
+    // Only version-1 reports carry "perf" (schema 2 dropped it).
     if (path.rfind("perf.", 0) == 0 &&
         (endsWith(".calls") || endsWith(".ops") ||
          endsWith(".seconds")))

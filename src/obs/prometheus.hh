@@ -10,16 +10,16 @@
  * 1:1 onto a metric name by prefixing "pgss_" and replacing each
  * character outside [a-zA-Z0-9_] with '_':
  *
- *     perf.mode.functional_fast.mips -> pgss_perf_mode_functional_fast_mips
- *     stats.engine.l1d.miss_ratio   -> pgss_stats_engine_l1d_miss_ratio
+ *     stats.engine.l1d.miss_ratio -> pgss_stats_engine_l1d_miss_ratio
+ *     stats.engine.total_ops      -> pgss_stats_engine_total_ops
  *
  * The HELP line carries the dotted source path, so the mapping is
- * reversible by eye. Types: stats-registry Counters and the perf
- * calls/ops/seconds accumulators are Prometheus counters; everything
- * else (scalars, formulas, rates, meta) is a gauge. Run reports since
- * schema addition carry a flat "stat_kinds" section recording each
+ * reversible by eye. Types: stats-registry Counters are Prometheus
+ * counters; everything else (scalars, formulas, rates, meta) is a
+ * gauge. Run reports carry a flat "stat_kinds" section recording each
  * stats path's kind so the offline export agrees with the live one;
- * reports predating it fall back to gauge.
+ * reports predating it fall back to the fixed rules of
+ * defaultMetricType().
  *
  * Rendering is canonical: families in first-seen order, one HELP and
  * one TYPE line per family, sample labels sorted by label name, label
@@ -73,7 +73,7 @@ struct MetricFamily
     std::vector<MetricSample> samples;
 };
 
-/** "perf.mode.fast.mips" -> "pgss_perf_mode_fast_mips". */
+/** "stats.engine.l1d.hits" -> "pgss_stats_engine_l1d_hits". */
 std::string promMetricName(const std::string &dotted_path);
 
 /** Escape a label value (backslash, double-quote, newline). */
@@ -99,15 +99,16 @@ std::vector<MetricFamily> familiesFromValues(
 
 /**
  * The offline export: every flattened numeric leaf of @p report
- * (meta.*, perf.*, stats.*, profile.*) as metric families, typed from
- * the report's "stat_kinds" section plus the fixed perf rules.
+ * (meta.*, stats.*, profile.*, and a version-1 report's perf.*) as
+ * metric families, typed from the report's "stat_kinds" section plus
+ * the fixed rules.
  */
 std::vector<MetricFamily>
 familiesFromReport(const LoadedReport &report);
 
-/** The fixed type rules shared by live and offline encoding for a
- * path with no recorded kind: perf calls/ops/seconds are counters,
- * everything else is a gauge. */
+/** The fixed type rules for a path with no recorded kind: the
+ * calls/ops/seconds of a version-1 report's "perf" section are
+ * counters, everything else is a gauge. */
 MetricType defaultMetricType(const std::string &dotted_path);
 
 /** One parsed sample line. */

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "obs/json.hh"
-#include "obs/perf.hh"
 #include "obs/spans.hh"
 #include "obs/telemetry.hh"
 #include "obs/timeline.hh"
@@ -416,8 +415,7 @@ reportJsonString()
     JsonWriter w;
     w.beginObject();
     w.field("schema", "pgss-run-report");
-    w.field("schema_version",
-            std::uint64_t{StatsRegistry::schema_version});
+    w.field("schema_version", std::uint64_t{report_schema_version});
     w.field("program", state().program);
     w.field("partial", state().partial);
     w.beginObject("meta");
@@ -426,7 +424,6 @@ reportJsonString()
     for (const auto &kv : state().meta_num)
         w.field(kv.first, kv.second);
     w.endObject();
-    perf().dumpJson(w);
     registry().dumpJson(w);
     // Flat path -> registry-kind map, so the offline Prometheus
     // export (pgss_report metrics) types stats the same way the live

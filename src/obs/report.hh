@@ -2,19 +2,19 @@
  * @file
  * Machine-readable run reports and the CLI/env plumbing every bench
  * and example binary shares. A run report is one JSON document
- * (schema "pgss-run-report", version StatsRegistry::schema_version)
+ * (schema "pgss-run-report", version report_schema_version)
  * containing:
  *
  *   - "program": the binary/figure identifier
  *   - "partial": false normally; true when written by the abnormal-
  *     exit path (signal or atexit before finalize())
  *   - "meta": free-form key/value annotations (workload scale, ...)
- *   - "perf": the global PerfRegistry (per-mode host time and MIPS)
  *   - "stats": the global StatsRegistry tree
  *   - "timelines": time-series section (only when timelines are on;
  *     see obs/timeline.hh and DESIGN.md section 8.5)
  *   - "profile": span-profiler section (only when profiling is on;
- *     see obs/spans.hh and DESIGN.md section 11)
+ *     see obs/spans.hh and DESIGN.md section 11); its
+ *     "engine.<mode>" rows are the per-mode host time and MIPS
  *
  * Flags (also honoured as environment variables):
  *   --stats-json=<path>        (PGSS_STATS_JSON)        write the
@@ -60,6 +60,13 @@
 
 namespace pgss::obs
 {
+
+/**
+ * Version of the "pgss-run-report" document. 2 dropped the "perf"
+ * section (per-mode host timing moved to the profile's engine spans);
+ * version-1 reports still load, show, diff and export.
+ */
+constexpr std::uint32_t report_schema_version = 2;
 
 /**
  * The process-wide stats registry that finalize() reports. Components

@@ -1,7 +1,8 @@
 /**
  * @file
  * Span-based self-profiling: a causal view of where wall-clock goes
- * inside a run, complementing the aggregate timers of obs/perf. A
+ * inside a run, and the simulator's only host timer (the per-mode
+ * "engine.<mode>" spans carry each mode's ops and MIPS). A
  * *span* is one timed scope — a fast-forward chunk, a detailed
  * window, a checkpoint restore, a k-means invocation, a bench entry —
  * opened and closed by an RAII guard:

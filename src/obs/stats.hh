@@ -132,7 +132,7 @@ class StatsRegistry
     Group &root() { return root_; }
     const Group &root() const { return root_; }
 
-    /** JSON schema version of dumpJson()/run reports. */
+    /** JSON schema version of dumpJsonString() documents. */
     static constexpr std::uint32_t schema_version = 1;
 
     /**

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/json.hh"
-#include "obs/perf.hh"
 #include "obs/progress.hh"
 #include "obs/prometheus.hh"
 #include "obs/report.hh"
@@ -41,8 +40,8 @@ uptimeSeconds()
 }
 
 /**
- * The report-equivalent flattened values (meta, perf, stats — the
- * order loadReport() flattens a run report in) plus their types, so
+ * The report-equivalent flattened values (meta, stats — the order
+ * loadReport() flattens a run report in) plus their types, so
  * the scraped and exported metric families are identical for shared
  * paths.
  */
@@ -52,25 +51,6 @@ liveReportValues(std::vector<std::pair<std::string, double>> &values,
 {
     for (const auto &[key, v] : reportMetaNumbers()) {
         values.emplace_back("meta." + key, v);
-        types.push_back(MetricType::Gauge);
-    }
-    for (const PerfHandle *h : perf().handles()) {
-        const std::string base = "perf." + h->name;
-        values.emplace_back(
-            base + ".calls",
-            static_cast<double>(
-                h->calls.load(std::memory_order_relaxed)));
-        types.push_back(MetricType::Counter);
-        values.emplace_back(
-            base + ".ops",
-            static_cast<double>(
-                h->ops.load(std::memory_order_relaxed)));
-        types.push_back(MetricType::Counter);
-        values.emplace_back(
-            base + ".seconds",
-            h->seconds.load(std::memory_order_relaxed));
-        types.push_back(MetricType::Counter);
-        values.emplace_back(base + ".mips", h->mips());
         types.push_back(MetricType::Gauge);
     }
     for (const auto &[path, kind] : registry().flattenKinds())

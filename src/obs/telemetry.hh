@@ -5,8 +5,8 @@
  * instead of only post-mortem through the run report. Three
  * endpoints:
  *
- *  - GET /metrics  — Prometheus text format: every perf timer, every
- *    registered stat, numeric report meta (the same dotted->metric
+ *  - GET /metrics  — Prometheus text format: every registered stat,
+ *    numeric report meta (the same dotted->metric
  *    mapping as `pgss_report metrics`), plus live-only process and
  *    per-job progress gauges (pgss_up, pgss_uptime_seconds,
  *    pgss_heartbeat_age_seconds, pgss_jobs_*, pgss_job_*{job=...}).

@@ -6,7 +6,6 @@
 #include <ostream>
 
 #include "obs/json.hh"
-#include "obs/perf.hh"
 #include "obs/report.hh"
 #include "obs/stats.hh"
 #include "util/csv.hh"
@@ -58,14 +57,11 @@ TimelineRecorder::advance(std::uint64_t ops_executed)
 void
 TimelineRecorder::takeSnapshot()
 {
-    // Pull every Counter registered in the global stats tree plus the
-    // per-mode op counts of the perf registry. The walk happens once
-    // per snapshot interval (>= 64k committed ops), never per period.
+    // Pull every Counter registered in the global stats tree. The
+    // walk happens once per snapshot interval (>= 64k committed ops),
+    // never per period.
     std::vector<std::pair<std::string, double>> now;
     collectCounters(registry().root(), "", now);
-    for (const PerfHandle *h : perf().handles())
-        now.emplace_back("perf." + h->name + ".ops",
-                         static_cast<double>(h->ops));
 
     ops_.push_back(global_ops_);
     for (const auto &[name, value] : now) {

@@ -13,7 +13,7 @@
  *  - Counter snapshots: every `interval_ops` committed instructions
  *    (accumulated across every engine in the process), the recorder
  *    snapshots each Counter registered in the global stats registry
- *    plus each perf-handle op count onto one shared op axis.
+ *    onto one shared op axis.
  *  - Phase timeline: per named run, the sequence of (op, phase id)
  *    classifications a sampling controller made.
  *  - Convergence curves: per named run and phase, one point per

@@ -1,9 +1,7 @@
 #include "sim/engine.hh"
 
 #include <bit>
-#include <string>
 
-#include "obs/perf.hh"
 #include "obs/progress.hh"
 #include "obs/spans.hh"
 #include "obs/stats.hh"
@@ -193,13 +191,6 @@ SimulationEngine::SimulationEngine(const isa::Program &program,
     branch_unit_ = std::make_unique<timing::BranchUnit>(config.branch);
     pipeline_ = std::make_unique<timing::InOrderPipeline>(
         config.pipeline, *hierarchy_, *branch_unit_);
-
-    // Per-mode host timers are process-global so every engine (and
-    // there are many per bench) accumulates into the same trajectory.
-    for (int m = 0; m < 4; ++m)
-        mode_perf_[m] = obs::perf().handle(
-            std::string("mode.") +
-            modeStatName(static_cast<SimMode>(m)));
 }
 
 void
@@ -356,11 +347,12 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
 
     const bool bbv = hashed_bbv_enabled_ || full_bbv_enabled_;
     const std::uint64_t cycles_before = pipeline_->cycles();
-    const double wall_before = obs::wallSeconds();
 
     // One span per run() chunk (>= a sample window of work, never
-    // per instruction): the causal per-thread view the Perfetto
-    // export and the "profile" report section are built from.
+    // per instruction): the engine's only host timer. Its
+    // "profile.flat" row carries the mode's calls, ops, seconds and
+    // MIPS (the perf gate reads them); with no profiler installed it
+    // reads no clock.
     obs::ScopedSpan span(modeSpanName(mode),
                          detailed ? obs::SpanCat::Detailed
                                   : obs::SpanCat::Ff);
@@ -391,8 +383,6 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
     }
 
     span.addOps(done);
-    mode_perf_[static_cast<int>(mode)]->add(
-        done, obs::wallSeconds() - wall_before);
 
     // Time-series observability: one predictable null check per run()
     // chunk (per period, never per instruction) when timelines are

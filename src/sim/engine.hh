@@ -21,7 +21,6 @@
 #ifndef PGSS_SIM_ENGINE_HH
 #define PGSS_SIM_ENGINE_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -38,7 +37,6 @@
 namespace pgss::obs
 {
 class Group;
-struct PerfHandle;
 }
 
 namespace pgss::sim
@@ -234,9 +232,7 @@ class SimulationEngine
 
     ModeOps mode_ops_;
 
-    // Host-side instrumentation: one global perf handle per mode
-    // (resolved once here) and the last mode run, for trace events.
-    std::array<obs::PerfHandle *, 4> mode_perf_{};
+    // The last mode run, for trace events.
     int last_mode_ = -1;
 
     friend class Checkpoint;

@@ -47,6 +47,7 @@ TEST(ObsAnalyzeLoad, FlattensNumericLeaves)
     EXPECT_FALSE(a.partial);
     EXPECT_DOUBLE_EQ(a.value("stats.engine.total_ops"), 1040000.0);
     EXPECT_DOUBLE_EQ(a.value("stats.controller.cpi.phase0"), 1.25);
+    // golden_a is a version-1 report: its "perf" section still loads.
     EXPECT_DOUBLE_EQ(a.value("perf.mode.detailed_measure.mips"), 0.2);
     EXPECT_DOUBLE_EQ(a.value("meta.scale"), 1.5);
     // Absent path reads as NaN, and timelines are not flattened.
@@ -125,7 +126,7 @@ TEST(ObsAnalyzeRender, ShowsTimelinesAndCurves)
     EXPECT_NE(out.find("phase 0 CI convergence"), std::string::npos);
     EXPECT_NE(out.find("phase 1 CI convergence"), std::string::npos);
     EXPECT_NE(out.find("closed"), std::string::npos);
-    EXPECT_NE(out.find("host perf"), std::string::npos);
+    EXPECT_NE(out.find("controller.cpi.phase0"), std::string::npos);
 }
 
 TEST(ObsAnalyzeCheck, GoldenReportsPass)
@@ -146,8 +147,8 @@ TEST(ObsAnalyzeCheck, CatchesSchemaAndAlignmentViolations)
     std::string err;
     // Misaligned convergence arrays and a backwards op axis.
     ASSERT_TRUE(pgss::obs::loadReportFromString(
-        "{\"schema\":\"pgss-run-report\",\"schema_version\":1,"
-        "\"program\":\"x\",\"perf\":{},\"stats\":{},"
+        "{\"schema\":\"pgss-run-report\",\"schema_version\":2,"
+        "\"program\":\"x\",\"stats\":{},"
         "\"timelines\":{\"schema_version\":1,"
         "\"counters\":{\"op\":[10,5],\"series\":{\"c\":[1]}},"
         "\"runs\":[{\"label\":\"r\",\"convergence\":{\"0\":"
@@ -166,7 +167,7 @@ TEST(ObsAnalyzeCheck, CatchesSchemaAndAlignmentViolations)
         "{\"schema\":\"other\",\"program\":\"\"}", wrong, &err));
     const CheckResult res2 = pgss::obs::checkReport(wrong);
     EXPECT_GE(res2.violations.size(), 4u); // schema, version,
-                                           // program, perf, stats
+                                           // program, stats
 }
 
 TEST(ObsAnalyzeCheck, PartialReportIsWarningNotViolation)
@@ -174,9 +175,8 @@ TEST(ObsAnalyzeCheck, PartialReportIsWarningNotViolation)
     LoadedReport r;
     std::string err;
     ASSERT_TRUE(pgss::obs::loadReportFromString(
-        "{\"schema\":\"pgss-run-report\",\"schema_version\":1,"
-        "\"program\":\"x\",\"partial\":true,\"perf\":{},"
-        "\"stats\":{}}",
+        "{\"schema\":\"pgss-run-report\",\"schema_version\":2,"
+        "\"program\":\"x\",\"partial\":true,\"stats\":{}}",
         r, &err))
         << err;
     const CheckResult res = pgss::obs::checkReport(r);
@@ -330,8 +330,8 @@ TEST(ObsAnalyzeProfile, ChecksCatchBrokenAccounting)
     // self > total in a flat row, thread sum mismatching the global
     // recorded count, and dropped spans (a warning).
     ASSERT_TRUE(pgss::obs::loadReportFromString(
-        "{\"schema\":\"pgss-run-report\",\"schema_version\":1,"
-        "\"program\":\"x\",\"perf\":{},\"stats\":{},"
+        "{\"schema\":\"pgss-run-report\",\"schema_version\":2,"
+        "\"program\":\"x\",\"stats\":{},"
         "\"profile\":{\"schema_version\":1,\"wall_seconds\":1.0,"
         "\"overhead_ns_per_span\":50.0,\"spans_recorded\":10,"
         "\"spans_dropped\":2,\"truncated\":true,"
@@ -368,10 +368,56 @@ TEST(ObsAnalyzeBench, SnapshotRoundTripsPerfPaths)
         << err;
     EXPECT_EQ(snap.doc.get("schema")->string, "pgss-bench-snapshot");
     EXPECT_EQ(snap.doc.get("label")->string, "pr7");
-    // The dotted perf paths line up exactly with the live report's.
-    EXPECT_DOUBLE_EQ(snap.value("perf.mode.functional_fast.mips"),
-                     a.value("perf.mode.functional_fast.mips"));
+    // Each perf.mode.<mode> object is the engine.<mode> span row
+    // (seconds = its total), under the paths committed baselines
+    // carry; the report's own version-1 "perf" section is ignored.
+    EXPECT_DOUBLE_EQ(snap.value("perf.mode.functional_fast.calls"),
+                     20.0);
+    EXPECT_DOUBLE_EQ(snap.value("perf.mode.functional_fast.ops"),
+                     5e6);
+    EXPECT_DOUBLE_EQ(snap.value("perf.mode.functional_fast.seconds"),
+                     1.5);
+    EXPECT_DOUBLE_EQ(
+        snap.value("perf.mode.functional_fast.mips"),
+        a.value("profile.flat.engine.functional_fast.mips"));
+    EXPECT_DOUBLE_EQ(
+        snap.value("perf.mode.detailed_measure.mips"),
+        a.value("profile.flat.engine.detailed_measure.mips"));
+    EXPECT_TRUE(std::isnan(snap.value("perf.mode.entry.mips")));
     EXPECT_DOUBLE_EQ(snap.value("meta.workload_scale"), 0.05);
+}
+
+TEST(ObsAnalyzeBench, SnapshotSkipsNonModeSpans)
+{
+    // engine.reset is an engine span but a checkpoint, not a mode.
+    LoadedReport r;
+    std::string err;
+    ASSERT_TRUE(pgss::obs::loadReportFromString(
+        "{\"schema\":\"pgss-run-report\",\"schema_version\":2,"
+        "\"program\":\"x\",\"stats\":{},"
+        "\"profile\":{\"schema_version\":1,\"flat\":{"
+        "\"engine.reset\":{\"cat\":\"checkpoint\",\"calls\":3,"
+        "\"total_seconds\":0.1,\"ops\":0,\"mips\":0},"
+        "\"engine.functional_warm\":{\"cat\":\"ff\",\"calls\":2,"
+        "\"total_seconds\":0.5,\"ops\":40000000,\"mips\":80}}}}",
+        r, &err))
+        << err;
+    LoadedReport snap;
+    ASSERT_TRUE(pgss::obs::loadReportFromString(
+        pgss::obs::benchSnapshotFromReport(r, "x"), snap, &err))
+        << err;
+    EXPECT_DOUBLE_EQ(snap.value("perf.mode.functional_warm.mips"), 80.0);
+    EXPECT_TRUE(std::isnan(snap.value("perf.mode.reset.calls")));
+
+    // No profile, no modes: the snapshot's perf object is empty.
+    LoadedReport v1;
+    ASSERT_TRUE(pgss::obs::loadReportFromString(
+        pgss::obs::benchSnapshotFromReport(loadGolden("golden_a.json"),
+                                           "x"),
+        v1, &err))
+        << err;
+    for (const auto &[path, v] : v1.values)
+        EXPECT_NE(path.rfind("perf.", 0), 0u) << path;
 }
 
 TEST(ObsAnalyzeBench, BaselineGateFlagsRegressions)

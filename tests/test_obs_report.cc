@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the run report: CLI flag stripping, meta annotations, the
- * pgss-run-report schema, perf-registry serialization, and finalize()
- * writing the report file.
+ * pgss-run-report schema, and finalize() writing the report file.
  */
 
 #include <cstdio>
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/perf.hh"
 #include "obs/report.hh"
 #include "obs/trace.hh"
 #include "tests/helpers.hh"
@@ -34,33 +32,6 @@ readFile(const std::string &path)
 }
 
 } // namespace
-
-TEST(ObsPerf, HandleAccumulatesAndComputesMips)
-{
-    PerfHandle h;
-    h.name = "test";
-    EXPECT_DOUBLE_EQ(h.mips(), 0.0);
-    h.add(2'000'000, 1.0);
-    h.add(2'000'000, 1.0);
-    EXPECT_EQ(h.calls, 2u);
-    EXPECT_EQ(h.ops, 4'000'000u);
-    EXPECT_DOUBLE_EQ(h.mips(), 2.0);
-}
-
-TEST(ObsPerf, RegistryHandleIsCreateOrGetWithStablePointer)
-{
-    PerfRegistry reg;
-    PerfHandle *a = reg.handle("mode.fast");
-    PerfHandle *b = reg.handle("mode.fast");
-    EXPECT_EQ(a, b);
-    a->add(10, 0.5);
-    reg.handle("mode.warm"); // growth must not invalidate a
-    EXPECT_EQ(reg.handle("mode.fast")->ops, 10u);
-    EXPECT_EQ(reg.handles().size(), 2u);
-    reg.reset();
-    EXPECT_EQ(a->ops, 0u);
-    EXPECT_EQ(a->calls, 0u);
-}
 
 TEST(ObsReport, InitFromCliStripsObservabilityFlags)
 {
@@ -95,24 +66,23 @@ TEST(ObsReport, ReportCarriesSchemaAndSections)
     initFromCli(argc, argv, "test_report");
     setReportMeta("workload", "164.gzip");
     setReportMeta("workload_scale", 0.25);
-    perf().handle("mode.functional_fast")->add(1'000'000, 0.25);
 
     const std::string doc = reportJsonString();
     EXPECT_EQ(doc.front(), '{');
     EXPECT_EQ(doc.back(), '}');
     EXPECT_NE(doc.find("\"schema\":\"pgss-run-report\""),
               std::string::npos);
-    EXPECT_NE(doc.find("\"schema_version\":1"), std::string::npos);
+    EXPECT_NE(doc.find("\"schema_version\":2"), std::string::npos);
     EXPECT_NE(doc.find("\"program\":\"test_report\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"meta\":{"), std::string::npos);
     EXPECT_NE(doc.find("\"workload\":\"164.gzip\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"workload_scale\":0.25"), std::string::npos);
-    EXPECT_NE(doc.find("\"perf\":{"), std::string::npos);
-    EXPECT_NE(doc.find("\"mode.functional_fast\""), std::string::npos);
-    EXPECT_NE(doc.find("\"mips\":4"), std::string::npos);
     EXPECT_NE(doc.find("\"stats\":{"), std::string::npos);
+    // Schema 2: per-mode host timing lives in the profile's engine
+    // spans, not in a "perf" section.
+    EXPECT_EQ(doc.find("\"perf\""), std::string::npos);
 }
 
 TEST(ObsReport, MetaLastWritePerKeyWins)

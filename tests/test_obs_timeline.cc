@@ -288,27 +288,18 @@ TEST(TimelinePgssTest, CurvesNarrowAndCloseDeterministically)
             EXPECT_LT(pts.back().ci_rel, 1.0);
     }
 
-    // Determinism: the fixed jitter seed reproduces identical phase
-    // timelines and convergence curves. Counter rows are excluded:
-    // they snapshot the process-global perf registry, which keeps
-    // accumulating across the two runs.
-    const auto sampling_rows = [](TimelineRecorder &r) {
-        std::ostringstream csv;
-        r.writeCsv(csv);
-        std::istringstream in(csv.str());
-        std::string line, kept;
-        while (std::getline(in, line))
-            if (line.rfind("counter,", 0) != 0)
-                kept += line + "\n";
-        return kept;
+    // Determinism: the fixed jitter seed reproduces the whole CSV —
+    // counter snapshots, phase timelines and convergence curves.
+    const auto csv = [](TimelineRecorder &r) {
+        std::ostringstream out;
+        r.writeCsv(out);
+        return out.str();
     };
-    const std::string first = sampling_rows(*rec);
+    const std::string first = csv(*rec);
     pgss::obs::setTimelineRecorder(
         std::make_unique<TimelineRecorder>(TimelineConfig{}));
     runPgssWithTimelines();
-    const std::string second =
-        sampling_rows(*pgss::obs::timelines());
-    EXPECT_EQ(first, second);
+    EXPECT_EQ(first, csv(*pgss::obs::timelines()));
 }
 
 TEST(TimelinePgssTest, DisabledRecorderRecordsNothing)

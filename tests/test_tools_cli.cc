@@ -60,7 +60,7 @@ TEST(BenchHistoryCli, MissingBaselineIsExit3WithActionableError)
 {
     const RunResult res = run(
         toolPath("pgss_bench_history") + " check " +
-        dataPath("golden_a.json") +
+        dataPath("golden_profile_a.json") +
         " --baseline=/nonexistent/BENCH_pr0.json");
     EXPECT_EQ(res.exit_code, 3) << res.output;
     EXPECT_NE(res.output.find("bad baseline"), std::string::npos)
@@ -78,7 +78,7 @@ TEST(BenchHistoryCli, MalformedBaselineIsExit3)
         std::to_string(::getpid()) + ".json";
     std::ofstream(bad) << "{not json";
     RunResult res = run(toolPath("pgss_bench_history") + " check " +
-                        dataPath("golden_a.json") +
+                        dataPath("golden_profile_a.json") +
                         " --baseline=" + bad);
     EXPECT_EQ(res.exit_code, 3) << res.output;
 
@@ -87,7 +87,7 @@ TEST(BenchHistoryCli, MalformedBaselineIsExit3)
     std::ofstream(bad)
         << "{\"schema\":\"pgss-bench-snapshot\",\"label\":\"x\"}";
     res = run(toolPath("pgss_bench_history") + " check " +
-              dataPath("golden_a.json") + " --baseline=" + bad);
+              dataPath("golden_profile_a.json") + " --baseline=" + bad);
     EXPECT_EQ(res.exit_code, 3) << res.output;
     EXPECT_NE(res.output.find("no perf.<mode>.mips"),
               std::string::npos)
@@ -99,9 +99,9 @@ TEST(BenchHistoryCli, ModeMissingFromBaselineIsExit3)
 {
     // A baseline that predates one of the report's perf modes (e.g.
     // a new execution backend) must not silently skip that mode: the
-    // gate demands a refreshed baseline instead. golden_a.json times
-    // both functional_fast and detailed_measure; this baseline only
-    // knows the former.
+    // gate demands a refreshed baseline instead. golden_profile_a.json
+    // profiles both functional_fast and detailed_measure; this
+    // baseline only knows the former.
     const std::string bad =
         "/tmp/pgss_test_partial_baseline_" +
         std::to_string(::getpid()) + ".json";
@@ -110,7 +110,7 @@ TEST(BenchHistoryCli, ModeMissingFromBaselineIsExit3)
            "\"perf\":{\"mode.functional_fast\":{\"mips\":2.0}}}";
     const RunResult res =
         run(toolPath("pgss_bench_history") + " check " +
-            dataPath("golden_a.json") + " --baseline=" + bad);
+            dataPath("golden_profile_a.json") + " --baseline=" + bad);
     EXPECT_EQ(res.exit_code, 3) << res.output;
     EXPECT_NE(
         res.output.find("perf.mode.detailed_measure.mips"),
@@ -133,14 +133,73 @@ TEST(BenchHistoryCli, GoodBaselineStillPasses)
                              std::to_string(::getpid()) + ".json";
     RunResult res =
         run(toolPath("pgss_bench_history") + " snapshot " +
-            dataPath("golden_a.json") + " " + snap);
+            dataPath("golden_profile_a.json") + " " + snap);
     ASSERT_EQ(res.exit_code, 0) << res.output;
     res = run(toolPath("pgss_bench_history") + " check " +
-              dataPath("golden_a.json") + " --baseline=" + snap);
+              dataPath("golden_profile_a.json") + " --baseline=" + snap);
     EXPECT_EQ(res.exit_code, 0) << res.output;
     EXPECT_NE(res.output.find("OK"), std::string::npos)
         << res.output;
     std::remove(snap.c_str());
+}
+
+TEST(BenchHistoryCli, ReportWithoutProfileIsRefused)
+{
+    // golden_a.json is a version-1 report with a "perf" section but
+    // no profile: neither snapshot nor check may pass on it.
+    const std::string snap = "/tmp/pgss_test_noprofile_snap_" +
+                             std::to_string(::getpid()) + ".json";
+    RunResult res =
+        run(toolPath("pgss_bench_history") + " snapshot " +
+            dataPath("golden_a.json") + " " + snap);
+    EXPECT_NE(res.exit_code, 0) << res.output;
+    EXPECT_NE(res.output.find("no profile section"), std::string::npos)
+        << res.output;
+    EXPECT_NE(res.output.find("--profile"), std::string::npos)
+        << res.output;
+    EXPECT_FALSE(std::ifstream(snap).good());
+
+    res = run(toolPath("pgss_bench_history") + " check " +
+              dataPath("golden_a.json") + " --baseline=" +
+              dataPath("golden_a.json"));
+    EXPECT_NE(res.exit_code, 0) << res.output;
+    EXPECT_NE(res.output.find("--profile"), std::string::npos)
+        << res.output;
+}
+
+TEST(BenchHistoryCli, TruncatedProfileIsRefused)
+{
+    // A wrapped span ring undercounts every flat row, so a truncated
+    // profile is refused even though its numbers look plausible.
+    const std::string report = "/tmp/pgss_test_truncated_" +
+                               std::to_string(::getpid()) + ".json";
+    const std::string baseline = "/tmp/pgss_test_truncated_base_" +
+                                 std::to_string(::getpid()) + ".json";
+    std::ofstream(report)
+        << "{\"schema\":\"pgss-run-report\",\"schema_version\":2,"
+           "\"program\":\"x\",\"stats\":{},\"profile\":{"
+           "\"schema_version\":1,\"spans_dropped\":5,"
+           "\"truncated\":true,\"flat\":{\"engine.functional_fast\":"
+           "{\"cat\":\"ff\",\"calls\":2,\"total_seconds\":1.0,"
+           "\"ops\":1000000,\"mips\":1.0}}}}";
+    std::ofstream(baseline)
+        << "{\"schema\":\"pgss-bench-snapshot\",\"label\":\"b\","
+           "\"perf\":{\"mode.functional_fast\":{\"mips\":1.0}}}";
+    RunResult res = run(toolPath("pgss_bench_history") + " snapshot " +
+                        report + " " + report + ".snap");
+    EXPECT_NE(res.exit_code, 0) << res.output;
+    EXPECT_NE(res.output.find("truncated profile"), std::string::npos)
+        << res.output;
+    EXPECT_NE(res.output.find("--profile"), std::string::npos)
+        << res.output;
+
+    res = run(toolPath("pgss_bench_history") + " check " + report +
+              " --baseline=" + baseline);
+    EXPECT_NE(res.exit_code, 0) << res.output;
+    EXPECT_NE(res.output.find("truncated profile"), std::string::npos)
+        << res.output;
+    std::remove(report.c_str());
+    std::remove(baseline.c_str());
 }
 
 TEST(BenchHistoryCli, UsageErrorsStayExit2)

@@ -6,13 +6,17 @@
  * reads the trajectory back:
  *
  *   pgss_bench_history snapshot report.json BENCH_pr5.json
- *                                  distil perf.<mode> throughput into
- *                                  a pgss-bench-snapshot (--label=pr5
- *                                  overrides the label derived from
- *                                  the output filename)
+ *                                  distil the per-mode engine spans
+ *                                  (profile.flat."engine.<mode>") into
+ *                                  a pgss-bench-snapshot's
+ *                                  perf.mode.<mode> calls/ops/seconds/
+ *                                  mips (--label=pr5 overrides the
+ *                                  label derived from the output
+ *                                  filename)
  *   pgss_bench_history check report.json --baseline=BENCH_pr4.json
  *                                  [--tolerance=0.25]
- *                                  regression gate: exit 1 when any
+ *                                  regression gate: snapshot the
+ *                                  report in memory, exit 1 when any
  *                                  perf.*.mips fell more than the
  *                                  tolerance below the baseline;
  *                                  exit 3 when the baseline itself is
@@ -24,6 +28,12 @@
  *   pgss_bench_history list BENCH_*.json
  *                                  the trajectory: one row per
  *                                  snapshot, one column per mode MIPS
+ *
+ * snapshot and check read only the report's "profile" section, so the
+ * run must have been made with --profile (or --profile-out=). Both
+ * refuse (exit 1) a report without one, with a truncated one (a
+ * wrapped span ring undercounts every row), or with no engine.<mode>
+ * spans: the gate never passes on numbers it did not get.
  *
  * CI appends one snapshot per PR from the perf-smoke fig13 run; the
  * committed baseline the gate compares against is refreshed manually
@@ -70,6 +80,56 @@ load(const std::string &path, LoadedReport &out)
     return false;
 }
 
+/** True for a "perf.<mode>.mips" path (what the gate compares). */
+bool
+isMipsPath(const std::string &path)
+{
+    return path.rfind("perf.", 0) == 0 && path.size() > 10 &&
+           path.compare(path.size() - 5, 5, ".mips") == 0;
+}
+
+/**
+ * Load the run report at @p path and distil it into @p snap (and its
+ * JSON text @p doc) with @p label: what snapshot writes and what
+ * check gates. A report whose per-mode numbers cannot be trusted is
+ * refused with a message naming --profile: no "profile" section, a
+ * truncated one, or one without engine.<mode> spans.
+ */
+bool
+snapshotReport(const std::string &path, const std::string &label,
+               std::string &doc, LoadedReport &snap)
+{
+    LoadedReport report;
+    if (!load(path, report))
+        return false;
+    doc = pgss::obs::benchSnapshotFromReport(report, label);
+    std::string err;
+    if (!pgss::obs::loadReportFromString(doc, snap, &err)) {
+        std::cerr << "pgss_bench_history: " << err << "\n";
+        return false;
+    }
+    bool any_mips = false;
+    for (const auto &[p, v] : snap.values)
+        any_mips = any_mips || isMipsPath(p);
+    const JsonValue *profile = report.doc.get("profile");
+    const JsonValue *truncated =
+        profile ? profile->get("truncated") : nullptr;
+    const char *problem =
+        !profile ? "has no profile section"
+        : truncated && truncated->boolean
+            ? "has a truncated profile (its span ring wrapped, so "
+              "every per-mode total undercounts)"
+        : !any_mips ? "has no engine.<mode> spans in its profile"
+                    : nullptr;
+    if (!problem)
+        return true;
+    std::cerr << "pgss_bench_history: '" << path << "' " << problem
+              << "; per-mode MIPS come from the profile's engine "
+                 "spans: rerun with --profile (or --profile-out=) on "
+                 "a run short enough not to wrap the span ring\n";
+    return false;
+}
+
 /** Pop "--name=value" from @p args into @p value; true if present. */
 bool
 takeOption(std::vector<std::string> &args, const std::string &name,
@@ -106,13 +166,12 @@ int
 cmdSnapshot(const std::string &report_path,
             const std::string &out_path, std::string label)
 {
-    LoadedReport report;
-    if (!load(report_path, report))
-        return 1;
     if (label.empty())
         label = labelFromPath(out_path);
-    const std::string doc =
-        pgss::obs::benchSnapshotFromReport(report, label);
+    std::string doc;
+    LoadedReport snap;
+    if (!snapshotReport(report_path, label, doc, snap))
+        return 1;
     std::string err;
     if (!pgss::util::atomicWriteFile(out_path, doc.data(), doc.size(),
                                      nullptr, &err)) {
@@ -142,9 +201,7 @@ loadBaseline(const std::string &path, LoadedReport &out)
     if (ok) {
         bool any_mips = false;
         for (const auto &[p, v] : out.values)
-            any_mips = any_mips ||
-                       (p.rfind("perf.", 0) == 0 && p.size() > 5 &&
-                        p.compare(p.size() - 5, 5, ".mips") == 0);
+            any_mips = any_mips || isMipsPath(p);
         if (!any_mips) {
             ok = false;
             err = "'" + path + "' has no perf.<mode>.mips values";
@@ -159,21 +216,20 @@ loadBaseline(const std::string &path, LoadedReport &out)
 }
 
 /**
- * Every perf.<mode>.mips the report carries must exist in the
- * baseline, or the gate would silently skip that mode — exactly the
- * failure mode a new backend introduces (its key is absent from every
- * older snapshot). Missing modes are a baseline-coverage problem
- * (exit 3), not a regression.
+ * Every perf.<mode>.mips the report's snapshot carries must exist in
+ * the baseline, or the gate would silently skip that mode — exactly
+ * the failure mode a new backend introduces (its key is absent from
+ * every older snapshot). Missing modes are a baseline-coverage
+ * problem (exit 3), not a regression.
  */
 bool
-baselineCoversReportModes(const LoadedReport &report,
+baselineCoversReportModes(const LoadedReport &snap,
                           const LoadedReport &baseline,
                           const std::string &baseline_path)
 {
     bool covered = true;
-    for (const auto &[path, v] : report.values) {
-        if (path.rfind("perf.", 0) != 0 || path.size() < 5 ||
-            path.compare(path.size() - 5, 5, ".mips") != 0)
+    for (const auto &[path, v] : snap.values) {
+        if (!isMipsPath(path))
             continue;
         if (!std::isfinite(v) || v <= 0.0)
             continue; // untimed mode in this run: nothing to gate
@@ -194,15 +250,18 @@ int
 cmdCheck(const std::string &report_path,
          const std::string &baseline_path, double tolerance)
 {
-    LoadedReport report, baseline;
-    if (!load(report_path, report))
+    // Gate the snapshot the report would commit, so the run and the
+    // baseline are compared on the same perf.<mode>.mips paths.
+    std::string doc;
+    LoadedReport snap, baseline;
+    if (!snapshotReport(report_path, "check", doc, snap))
         return 1;
     if (!loadBaseline(baseline_path, baseline))
         return kExitBadBaseline;
-    if (!baselineCoversReportModes(report, baseline, baseline_path))
+    if (!baselineCoversReportModes(snap, baseline, baseline_path))
         return kExitBadBaseline;
     const CheckResult res = pgss::obs::checkAgainstBaseline(
-        report, baseline, tolerance);
+        snap, baseline, tolerance);
     for (const std::string &v : res.violations)
         std::cout << "VIOLATION baseline: " << v << "\n";
     for (const std::string &w : res.warnings)
@@ -231,8 +290,7 @@ cmdList(const std::vector<std::string> &paths)
     std::vector<std::string> modes;
     for (const LoadedReport &s : snaps)
         for (const auto &[path, v] : s.values) {
-            if (path.rfind("perf.", 0) != 0 || path.size() < 5 ||
-                path.compare(path.size() - 5, 5, ".mips") != 0)
+            if (!isMipsPath(path))
                 continue;
             const std::string mode =
                 path.substr(5, path.size() - 10);

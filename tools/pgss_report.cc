@@ -18,11 +18,10 @@
  *                                         textfile collector
  *   pgss_report check report.json [trace.jsonl]
  *                                         sanity checks; exit 1 on any
- *                                         violation (the CI gate)
- *     --baseline=BENCH.json [--tolerance=0.25]
- *                                         also gate perf.*.mips
- *                                         against a committed bench
- *                                         snapshot
+ *                                         violation (the CI gate for
+ *                                         observability artefacts;
+ *                                         the perf gate is
+ *                                         pgss_bench_history check)
  *   pgss_report findings f.json           render a pgss-findings
  *                                         envelope (pgss_lint --json);
  *                                         exit 1 on error findings
@@ -57,8 +56,6 @@ usage()
         << "       pgss_report profile <a.json> <b.json>\n"
         << "       pgss_report metrics <report.json>\n"
         << "       pgss_report check <report.json> [trace.jsonl]\n"
-        << "                   [--baseline=<bench.json>]"
-           " [--tolerance=<frac>]\n"
         << "       pgss_report findings <findings.json>\n";
     return 2;
 }
@@ -149,24 +146,13 @@ cmdMetrics(const std::string &path)
 
 int
 cmdCheck(const std::string &report_path,
-         const std::string &trace_path,
-         const std::string &baseline_path, double tolerance)
+         const std::string &trace_path)
 {
     LoadedReport report;
     if (!load(report_path, report))
         return 1;
     CheckResult total = pgss::obs::checkReport(report);
     printCheck("report", total);
-
-    if (!baseline_path.empty()) {
-        LoadedReport baseline;
-        if (!load(baseline_path, baseline))
-            return 1;
-        const CheckResult bres = pgss::obs::checkAgainstBaseline(
-            report, baseline, tolerance);
-        printCheck("baseline", bres);
-        total.merge(bres);
-    }
 
     if (!trace_path.empty()) {
         std::ifstream trace(trace_path, std::ios::binary);
@@ -295,14 +281,9 @@ main(int argc, char **argv)
                               std::strtoul(top.c_str(), nullptr, 10)));
     }
     if (args[0] == "check") {
-        std::string baseline, tolerance = "0.25";
-        takeOption(args, "baseline", baseline);
-        takeOption(args, "tolerance", tolerance);
         if (args.size() < 2 || args.size() > 3)
             return usage();
-        return cmdCheck(args[1], args.size() == 3 ? args[2] : "",
-                        baseline,
-                        std::strtod(tolerance.c_str(), nullptr));
+        return cmdCheck(args[1], args.size() == 3 ? args[2] : "");
     }
     if (args[0] == "findings")
         return args.size() == 2 ? cmdFindings(args[1]) : usage();
