@@ -68,7 +68,7 @@ main(int argc, char **argv)
         std::vector<std::vector<double>> cell(
             suite.size(),
             std::vector<double>(std::size(thresholds), 0.0));
-        bench::runEntriesParallel(suite, [&](std::size_t b) {
+        bench::runEntriesParallel(suite.size(), [&](std::size_t b) {
             const bench::Entry &e = suite[b];
             for (std::size_t ti = 0; ti < std::size(thresholds);
                  ++ti) {
@@ -134,7 +134,7 @@ main(int argc, char **argv)
     ab.setHeader({"benchmark", "100k", "1M", "10M"});
     std::vector<std::vector<double>> ab_cell(
         suite.size(), std::vector<double>(std::size(periods), 0.0));
-    bench::runEntriesParallel(suite, [&](std::size_t b) {
+    bench::runEntriesParallel(suite.size(), [&](std::size_t b) {
         const bench::Entry &e = suite[b];
         for (std::size_t pi = 0; pi < std::size(periods); ++pi) {
             core::PgssConfig cfg;

@@ -88,7 +88,7 @@ main(int argc, char **argv)
                                &pgss_fixed})
         s->cells.resize(suite.size());
 
-    bench::runEntriesParallel(suite, [&](std::size_t b) {
+    bench::runEntriesParallel(suite.size(), [&](std::size_t b) {
         const bench::Entry &e = suite[b];
         const double true_ipc = e.profile.trueIpc();
         std::fprintf(stderr, "fig12: %s...\n", e.short_name.c_str());

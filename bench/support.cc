@@ -13,7 +13,6 @@
 #include "analysis/profile_cache.hh"
 #include "obs/json.hh"
 #include "obs/json_read.hh"
-#include "obs/progress.hh"
 #include "obs/report.hh"
 #include "obs/spans.hh"
 #include "util/env.hh"
@@ -175,9 +174,6 @@ Entry
 loadEntry(const std::string &name)
 {
     PGSS_SPAN("bench.load_entry", Io);
-    // Ground-truth profile building is real engine work; give it a
-    // progress row so a served first run is not a silent cache fill.
-    obs::ScopedJob job("load:" + name);
     Entry e;
     e.name = name;
     const std::size_t dot = name.find('.');
@@ -223,21 +219,6 @@ runEntriesParallel(std::size_t n,
     });
 }
 
-void
-runEntriesParallel(const std::vector<Entry> &entries,
-                   const std::function<void(std::size_t)> &body)
-{
-    runEntriesParallel(
-        entries.size(), [&entries, &body](std::size_t i) {
-            // The job rides the worker thread: engine.run() chunks
-            // and controller sampling decisions inside body update it
-            // through obs::currentJob().
-            obs::ScopedJob job(entries[i].name,
-                               entries[i].profile.totalOps());
-            body(i);
-        });
-}
-
 std::vector<EntryOutcome>
 runEntriesJournaled(const std::vector<Entry> &entries,
                     const std::string &stage,
@@ -266,8 +247,6 @@ runEntriesJournaled(const std::vector<Entry> &entries,
         EntryOutcome &o = out[i];
         if (o.from_journal)
             return;
-        obs::ScopedJob job(entries[i].name,
-                           entries[i].profile.totalOps());
         // Per-entry isolation boundary: one entry failing (injected
         // fault, resource exhaustion, workload bug) becomes an error
         // record; the rest of the suite still completes and a later

@@ -33,18 +33,20 @@ struct Entry
 
 /**
  * Observability plumbing shared by every bench: parse and strip the
- * obs flags (--stats-json= / --trace-out= / --timelines /
- * --timeline-interval= / --timeline-out=, see obs::parseObsFlags),
- * install the trace sink and timeline recorder, register the
- * abnormal-exit flush handlers, and stamp the report with the figure
- * id and workload scale. Call first thing in main().
+ * obs flags (--stats-json= / --timelines / --timeline-interval= /
+ * --timeline-out= / --profile / --profile-out=, see
+ * obs::parseObsFlags), install the timeline recorder and span
+ * profiler, register the abnormal-exit flush handlers, and stamp the
+ * report with the figure id and workload scale. Call first thing in
+ * main().
  */
 void init(int &argc, char **argv, const std::string &figure_id);
 
 /**
- * Flush tracing and, when --stats-json was requested, write the run
- * report (per-mode ops, host wall-clock, simulated MIPS, and any
- * stats registered into obs::registry()). Call last in main().
+ * Write the outputs the obs flags requested: the run report (stats
+ * registered into obs::registry(), plus the profile and timelines
+ * sections when on), the timeline CSV and the Perfetto trace. Call
+ * last in main().
  */
 void finish();
 
@@ -78,16 +80,6 @@ std::size_t benchJobs();
  * is a plain in-order loop on the calling thread.
  */
 void runEntriesParallel(std::size_t n,
-                        const std::function<void(std::size_t)> &body);
-
-/**
- * runEntriesParallel() over a loaded suite: additionally opens one
- * obs progress job per entry (named by the entry, expected ops from
- * its ground-truth profile) around @p body, so a served run
- * (--serve=PORT) shows per-entry progress, phase, CI, and MIPS in
- * /status and `pgss_top`.
- */
-void runEntriesParallel(const std::vector<Entry> &entries,
                         const std::function<void(std::size_t)> &body);
 
 /** What one journaled entry produced (see runEntriesJournaled). */

@@ -29,8 +29,9 @@ main(int argc, char **argv)
 {
     using namespace pgss;
 
-    // --stats-json=<path> / --trace-out=<path> are stripped here so
-    // the positional arguments below keep working.
+    // --stats-json=<path> / --profile-out=<path> (and the other obs
+    // flags) are stripped here so the positional arguments below keep
+    // working.
     obs::initFromCli(argc, argv, "quickstart");
 
     const std::string name = argc > 1 ? argv[1] : "164.gzip";

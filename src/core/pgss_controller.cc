@@ -4,11 +4,9 @@
 #include <limits>
 
 #include "bbv/bbv_math.hh"
-#include "obs/progress.hh"
 #include "obs/spans.hh"
 #include "obs/stats.hh"
 #include "obs/timeline.hh"
-#include "obs/trace.hh"
 #include "stats/confidence.hh"
 #include "stats/stratified.hh"
 #include "util/logging.hh"
@@ -95,9 +93,6 @@ PgssController::run(sim::SimulationEngine &engine)
                 chunk_ops +=
                     engine.run(offset, sim::SimMode::FunctionalWarm)
                         .ops;
-            if (obs::TraceSink *t = obs::traceSink())
-                t->emit(obs::TraceKind::SampleOpen,
-                        engine.totalOps());
             const sim::RunResult warm = engine.run(
                 config_.detailed_warmup, sim::SimMode::DetailedWarm);
             const sim::RunResult meas = engine.run(
@@ -135,16 +130,9 @@ PgssController::run(sim::SimulationEngine &engine)
             ++counters_.phases;
         if (match.changed)
             ++counters_.phase_changes;
-        if (obs::TraceSink *t = obs::traceSink())
-            t->emit(obs::TraceKind::PhaseClassified,
-                    engine.totalOps(), match.phase_id,
-                    (match.created ? 1u : 0u) |
-                        (match.changed ? 2u : 0u),
-                    match.angle_to_last);
-        if (obs::TimelineRecorder *tl = obs::timelines())
+        obs::TimelineRecorder *tl = obs::timelines();
+        if (tl)
             tl->recordPhase(engine.totalOps(), match.phase_id);
-        if (obs::JobHandle *job = obs::currentJob())
-            job->setPhase(match.phase_id, table.size());
 
         // The sample inside this period is credited to the phase the
         // period was classified as.
@@ -152,10 +140,6 @@ PgssController::run(sim::SimulationEngine &engine)
             phase.addSample(sample_cpi, engine.totalOps());
             ++res.n_samples;
             ++counters_.samples;
-            if (obs::TraceSink *t = obs::traceSink())
-                t->emit(obs::TraceKind::SampleClose,
-                        engine.totalOps(), phase.id(), 0,
-                        sample_cpi);
             if (config_.record_timeline)
                 res.timeline.push_back(
                     {engine.totalOps(), phase.id(), sample_cpi});
@@ -168,18 +152,15 @@ PgssController::run(sim::SimulationEngine &engine)
             config_.min_samples_per_phase);
         // One convergence-curve point per credited sample: the curve
         // of this phase's CI half-width closing (or not) over time.
-        if (have_sample) {
+        if (have_sample && tl) {
             const double mean = phase.cpi().mean();
             const double hw = stats::ciHalfWidth(
                 phase.cpi(), config_.confidence);
             const double ci_rel =
                 mean != 0.0 ? hw / std::abs(mean) : hw;
-            if (obs::TimelineRecorder *tl = obs::timelines())
-                tl->recordConvergence(
-                    phase.id(), engine.totalOps(),
-                    phase.sampleCount(), mean, ci_rel, converged);
-            if (obs::JobHandle *job = obs::currentJob())
-                job->addSample(ci_rel);
+            tl->recordConvergence(phase.id(), engine.totalOps(),
+                                  phase.sampleCount(), mean, ci_rel,
+                                  converged);
         }
         const bool spaced =
             !config_.spread_samples ||
@@ -193,10 +174,9 @@ PgssController::run(sim::SimulationEngine &engine)
         if (adaptive.threshold() != threshold_before) {
             ++counters_.threshold_adjustments;
             counters_.threshold = adaptive.threshold();
-            if (obs::TraceSink *t = obs::traceSink())
-                t->emit(obs::TraceKind::ThresholdAdjust,
-                        engine.totalOps(), 0, 0,
-                        adaptive.threshold());
+            if (tl)
+                tl->recordThreshold(engine.totalOps(),
+                                    adaptive.threshold());
         }
     }
 

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -640,16 +639,6 @@ renderDiff(std::ostream &os, const LoadedReport &a,
            << " only in B)\n";
 }
 
-void
-CheckResult::merge(const CheckResult &other)
-{
-    violations.insert(violations.end(), other.violations.begin(),
-                      other.violations.end());
-    warnings.insert(warnings.end(), other.warnings.begin(),
-                    other.warnings.end());
-    trace_events += other.trace_events;
-}
-
 CheckResult
 checkReport(const LoadedReport &report)
 {
@@ -758,6 +747,13 @@ checkReport(const LoadedReport &report)
                 checkAligned(*pt, "phase", ops.size(),
                              ctx + ".phase_timeline", res);
             }
+            if (const JsonValue *th = run.get("threshold")) {
+                const std::vector<std::uint64_t> ops = opAxis(*th);
+                checkMonotonic(ops, ctx + ".threshold",
+                               /*strict=*/false, res);
+                checkAligned(*th, "radians", ops.size(),
+                             ctx + ".threshold", res);
+            }
             if (const JsonValue *conv = run.get("convergence")) {
                 for (const auto &[phase_id, curve] : conv->object) {
                     const std::string cctx =
@@ -788,103 +784,6 @@ checkReport(const LoadedReport &report)
             }
         }
     }
-    return res;
-}
-
-CheckResult
-checkTrace(std::istream &in)
-{
-    CheckResult res;
-    std::string line;
-    std::size_t lineno = 0;
-    double last_t = -1.0;
-    std::uint64_t last_op = 0;
-    bool sample_open = false;
-    bool saw_eof = false;
-    std::uint64_t open_count = 0, close_count = 0;
-
-    auto bad = [&res, &lineno](const std::string &what) {
-        res.violations.push_back("line " + std::to_string(lineno) +
-                                 ": " + what);
-    };
-
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        if (saw_eof) {
-            bad("event after eof accounting line");
-            continue;
-        }
-        JsonValue ev;
-        std::string err;
-        if (!parseJson(line, ev, &err)) {
-            bad("unparseable (" + err + ")");
-            continue;
-        }
-        const JsonValue *t = ev.get("t");
-        const JsonValue *op = ev.get("op");
-        const JsonValue *kind = ev.get("ev");
-        if (!t || !t->isNumber() || !op || !op->isNumber() || !kind ||
-            !kind->isString()) {
-            bad("missing t/op/ev field");
-            continue;
-        }
-        if (t->number < last_t)
-            bad("timestamp moves backwards");
-        last_t = t->number;
-
-        if (kind->string == "eof") {
-            saw_eof = true;
-            const JsonValue *emitted = ev.get("emitted");
-            const JsonValue *dropped = ev.get("dropped");
-            if (!emitted || !dropped) {
-                bad("eof line missing emitted/dropped");
-                continue;
-            }
-            if (dropped->asUint() > 0)
-                res.warnings.push_back(
-                    std::to_string(dropped->asUint()) +
-                    " events dropped by the ring buffer");
-            const std::uint64_t expect =
-                emitted->asUint() - dropped->asUint();
-            if (res.trace_events != expect)
-                bad("accounting mismatch: " +
-                    std::to_string(res.trace_events) +
-                    " event lines, eof claims " +
-                    std::to_string(expect));
-            continue;
-        }
-
-        ++res.trace_events;
-        const std::uint64_t this_op = op->asUint();
-        if (kind->string == "sample_open") {
-            // An op counter moving backwards means a new engine
-            // started; any sample left open there closed implicitly.
-            if (sample_open && this_op >= last_op)
-                bad("sample_open while a sample is already open");
-            sample_open = true;
-            ++open_count;
-        } else if (kind->string == "sample_close") {
-            if (!sample_open)
-                bad("sample_close without a matching open");
-            sample_open = false;
-            ++close_count;
-        } else if (sample_open && this_op < last_op) {
-            sample_open = false; // engine restart: implicit close
-        }
-        last_op = this_op;
-    }
-
-    if (sample_open)
-        res.warnings.push_back(
-            "trace ends inside an open sample (" +
-            std::to_string(open_count) + " opens, " +
-            std::to_string(close_count) + " closes)");
-    if (!saw_eof)
-        res.warnings.push_back(
-            "no eof accounting line: run was interrupted or the "
-            "sink was not destroyed");
     return res;
 }
 

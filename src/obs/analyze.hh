@@ -1,8 +1,8 @@
 /**
  * @file
  * Offline analysis of observability artefacts — the library behind
- * `tools/pgss_report`. Consumes pgss-run-report JSON documents (and
- * optionally a trace JSONL stream) and provides:
+ * `tools/pgss_report`. Consumes pgss-run-report JSON documents and
+ * provides:
  *
  *  - loadReport(): parse + flatten every numeric leaf ("stats.*",
  *    "profile.*", numeric "meta.*", and the "perf.*" of version-1
@@ -14,10 +14,9 @@
  *    per-span self-time deltas
  *  - renderDiff()/diffReports(): A-vs-B comparison with percent
  *    deltas for every shared numeric path
- *  - checkReport()/checkTrace(): sanity checks — schema fields,
- *    monotonic axes, balanced sample open/close, trace eof
- *    accounting (lines == emitted - dropped) — the `pgss_report
- *    check` CI gate
+ *  - checkReport(): sanity checks — schema fields, profile
+ *    accounting, monotonic and aligned timeline axes — the
+ *    `pgss_report check` CI gate
  *  - benchSnapshotFromReport()/checkAgainstBaseline(): the perf
  *    history — distil a run report's per-mode engine spans into a
  *    pgss-bench-snapshot document (BENCH_pr<N>.json) and gate a
@@ -126,10 +125,8 @@ struct CheckResult
 {
     std::vector<std::string> violations; ///< hard failures (CI gate)
     std::vector<std::string> warnings;   ///< suspicious but tolerated
-    std::uint64_t trace_events = 0;      ///< event lines seen (trace)
 
     bool ok() const { return violations.empty(); }
-    void merge(const CheckResult &other);
 };
 
 /**
@@ -138,16 +135,6 @@ struct CheckResult
  * timeline arrays. A partial report is a warning, not a violation.
  */
 CheckResult checkReport(const LoadedReport &report);
-
-/**
- * Trace-stream sanity: every line parses, timestamps are monotonic,
- * sample_open/sample_close alternate (an open may be implicitly
- * closed by an engine restart, detected by the op counter moving
- * backwards), and the eof line's accounting matches the number of
- * event lines (lines == emitted - dropped). A missing eof line — an
- * interrupted run — is a warning.
- */
-CheckResult checkTrace(std::istream &in);
 
 /**
  * Distil @p report into a pgss-bench-snapshot JSON document: schema

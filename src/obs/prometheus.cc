@@ -46,18 +46,11 @@ validMetricName(const std::string &s)
 }
 
 bool
-validLabelName(const std::string &s)
+fail(std::string *error, std::size_t line_no, const std::string &msg)
 {
-    if (s.empty())
-        return false;
-    auto head = [](char c) {
-        return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-    };
-    if (!head(s[0]))
-        return false;
-    return std::all_of(s.begin() + 1, s.end(), [&head](char c) {
-        return head(c) || std::isdigit(static_cast<unsigned char>(c));
-    });
+    if (error)
+        *error = "line " + std::to_string(line_no) + ": " + msg;
+    return false;
 }
 
 } // anonymous namespace
@@ -84,29 +77,6 @@ promMetricName(const std::string &dotted_path)
         const bool ok =
             std::isalnum(static_cast<unsigned char>(c)) || c == '_';
         out.push_back(ok ? c : '_');
-    }
-    return out;
-}
-
-std::string
-promEscapeLabel(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '\\':
-            out += "\\\\";
-            break;
-          case '"':
-            out += "\\\"";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out.push_back(c);
-        }
     }
     return out;
 }
@@ -141,26 +111,7 @@ renderPromText(std::ostream &os,
                << promEscapeHelp(f.help) << "\n";
         os << "# TYPE " << f.name << " " << metricTypeName(f.type)
            << "\n";
-        for (const MetricSample &s : f.samples) {
-            os << f.name;
-            if (!s.labels.empty()) {
-                auto sorted = s.labels;
-                std::sort(sorted.begin(), sorted.end(),
-                          [](const auto &a, const auto &b) {
-                              return a.first < b.first;
-                          });
-                os << "{";
-                bool first = true;
-                for (const auto &[k, v] : sorted) {
-                    if (!first)
-                        os << ",";
-                    first = false;
-                    os << k << "=\"" << promEscapeLabel(v) << "\"";
-                }
-                os << "}";
-            }
-            os << " " << fmtValue(s.value) << "\n";
-        }
+        os << f.name << " " << fmtValue(f.value) << "\n";
     }
 }
 
@@ -187,7 +138,7 @@ familiesFromValues(
         f.name = name;
         f.help = path;
         f.type = type;
-        f.samples.push_back({{}, v});
+        f.value = v;
         out.push_back(std::move(f));
     }
     return out;
@@ -212,9 +163,8 @@ defaultMetricType(const std::string &path)
 std::vector<MetricFamily>
 familiesFromReport(const LoadedReport &report)
 {
-    // "stat_kinds" (written by reports since the telemetry layer)
-    // records each stats path's registry kind; older reports fall
-    // back to the fixed rules.
+    // "stat_kinds" records each stats path's registry kind; older
+    // reports fall back to the fixed rules.
     const JsonValue *kinds = report.doc.get("stat_kinds");
     auto typeOf = [kinds](const std::string &path) {
         if (kinds && kinds->isObject()) {
@@ -246,87 +196,6 @@ ParsedFamilies::has(const std::string &name) const
                            return m.name == name;
                        });
 }
-
-namespace
-{
-
-bool
-fail(std::string *error, std::size_t line_no, const std::string &msg)
-{
-    if (error)
-        *error = "line " + std::to_string(line_no) + ": " + msg;
-    return false;
-}
-
-/** Parse `{k="v",...}` starting at @p i (on '{'); advances @p i past
- * the closing brace. */
-bool
-parseLabels(const std::string &line, std::size_t &i,
-            ParsedMetric &m, std::string &msg)
-{
-    ++i; // '{'
-    for (;;) {
-        while (i < line.size() && line[i] == ' ')
-            ++i;
-        if (i < line.size() && line[i] == '}') {
-            ++i;
-            return true;
-        }
-        std::size_t start = i;
-        while (i < line.size() && line[i] != '=')
-            ++i;
-        if (i >= line.size()) {
-            msg = "unterminated label";
-            return false;
-        }
-        const std::string lname = line.substr(start, i - start);
-        if (!validLabelName(lname)) {
-            msg = "bad label name '" + lname + "'";
-            return false;
-        }
-        ++i; // '='
-        if (i >= line.size() || line[i] != '"') {
-            msg = "label value not quoted";
-            return false;
-        }
-        ++i;
-        std::string value;
-        while (i < line.size() && line[i] != '"') {
-            if (line[i] == '\\') {
-                if (i + 1 >= line.size()) {
-                    msg = "dangling escape";
-                    return false;
-                }
-                const char e = line[i + 1];
-                if (e == 'n')
-                    value.push_back('\n');
-                else if (e == '\\' || e == '"')
-                    value.push_back(e);
-                else {
-                    msg = "bad escape '\\" + std::string(1, e) + "'";
-                    return false;
-                }
-                i += 2;
-            } else {
-                value.push_back(line[i++]);
-            }
-        }
-        if (i >= line.size()) {
-            msg = "unterminated label value";
-            return false;
-        }
-        ++i; // '"'
-        m.labels.emplace_back(lname, value);
-        if (i < line.size() && line[i] == ',')
-            ++i;
-        else if (i < line.size() && line[i] != '}') {
-            msg = "expected ',' or '}' after label";
-            return false;
-        }
-    }
-}
-
-} // anonymous namespace
 
 bool
 parsePrometheusText(const std::string &text, ParsedFamilies *out,
@@ -376,19 +245,16 @@ parsePrometheusText(const std::string &text, ParsedFamilies *out,
             continue;
         }
 
+        // The encoder writes no labels, so a '{' makes the name
+        // invalid.
         ParsedMetric m;
         std::size_t i = 0;
-        while (i < line.size() && line[i] != '{' && line[i] != ' ')
+        while (i < line.size() && line[i] != ' ')
             ++i;
         m.name = line.substr(0, i);
         if (!validMetricName(m.name))
             return fail(error, line_no,
                         "bad metric name '" + m.name + "'");
-        if (i < line.size() && line[i] == '{') {
-            std::string msg;
-            if (!parseLabels(line, i, m, msg))
-                return fail(error, line_no, msg);
-        }
         while (i < line.size() && line[i] == ' ')
             ++i;
         if (i >= line.size())

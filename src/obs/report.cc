@@ -10,9 +10,7 @@
 
 #include "obs/json.hh"
 #include "obs/spans.hh"
-#include "obs/telemetry.hh"
 #include "obs/timeline.hh"
-#include "obs/trace.hh"
 #include "util/atomic_file.hh"
 #include "util/env.hh"
 #include "util/fi.hh"
@@ -140,9 +138,9 @@ writeTimelineCsv()
 }
 
 /**
- * Best-effort flush on abnormal exit: drain the trace sink and write
- * the report/CSV marked partial. Called from std::atexit and from the
- * SIGINT/SIGTERM handler; the handler path is technically not
+ * Best-effort flush on abnormal exit: write the report (marked
+ * partial), timeline CSV and Perfetto trace. Called from std::atexit
+ * and from the SIGINT/SIGTERM handler; the handler path is technically not
  * async-signal-safe (it allocates and does stdio), which is the
  * accepted trade for getting diagnostics out of an interrupted run —
  * the alternative is losing them, and the process is about to die
@@ -153,16 +151,8 @@ emergencyFlush(const char *why)
 {
     if (g_finalized.exchange(true))
         return;
-    // The telemetry server stops first: the port is released (and
-    // immediately rebindable) before any report writing starts, and
-    // no scrape can observe the registry mid-flush. Joining threads
-    // here is as async-signal-unsafe as the rest of this path — same
-    // accepted trade.
-    stopTelemetry();
     state().partial = true;
     setReportMeta("exit_reason", std::string(why));
-    if (TraceSink *t = traceSink())
-        t->flush();
     // The span rings drain too: the report's "profile" section and
     // the Perfetto trace are written from whatever each thread had
     // recorded (wrapped rings carry their truncation markers). The
@@ -196,10 +186,11 @@ installExitHandlers()
     if (installed)
         return;
     installed = true;
-    // Registered after the trace sink's global storage is initialised
-    // (applyObsFlags runs first), so the atexit flush sees a live
-    // sink and the sink's destructor — which appends the trace eof
-    // accounting line — still runs afterwards.
+    // emergencyFlush() reads the timeline recorder and the span
+    // profiler. Their namespace-scope storage is initialised before
+    // main() and so before this registration; atexit handlers and
+    // static destructors run in reverse order, so the atexit flush
+    // still sees both alive.
     std::atexit(obsAtexitFlush);
     std::signal(SIGINT, obsSignalFlush);
     std::signal(SIGTERM, obsSignalFlush);
@@ -219,7 +210,6 @@ parseObsFlags(int &argc, char **argv)
 {
     ObsFlags flags;
     flags.stats_json = util::envString("PGSS_STATS_JSON", "");
-    flags.trace_out = util::envString("PGSS_TRACE_OUT", "");
     flags.timeline_out = util::envString("PGSS_TIMELINE_OUT", "");
     flags.profile_out = util::envString("PGSS_PROFILE_OUT", "");
     flags.timelines =
@@ -227,33 +217,20 @@ parseObsFlags(int &argc, char **argv)
     flags.profile = util::envString("PGSS_PROFILE", "") == "1";
     flags.timeline_interval = static_cast<std::uint64_t>(
         util::envDouble("PGSS_TIMELINE_INTERVAL", 0.0));
-    const std::string serve_env =
-        util::envString("PGSS_SERVE_PORT", "");
-    if (!serve_env.empty()) {
-        flags.serve = true;
-        flags.serve_port = static_cast<std::uint16_t>(
-            std::strtoul(serve_env.c_str(), nullptr, 10));
-    }
 
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (const char *v = flagValue(argv[i], "--stats-json")) {
             flags.stats_json = v;
-        } else if (const char *v2 = flagValue(argv[i], "--trace-out")) {
-            flags.trace_out = v2;
-        } else if (const char *v3 =
+        } else if (const char *v2 =
                        flagValue(argv[i], "--timeline-out")) {
-            flags.timeline_out = v3;
-        } else if (const char *v4 =
+            flags.timeline_out = v2;
+        } else if (const char *v3 =
                        flagValue(argv[i], "--timeline-interval")) {
-            flags.timeline_interval = std::strtoull(v4, nullptr, 10);
-        } else if (const char *v5 =
+            flags.timeline_interval = std::strtoull(v3, nullptr, 10);
+        } else if (const char *v4 =
                        flagValue(argv[i], "--profile-out")) {
-            flags.profile_out = v5;
-        } else if (const char *v6 = flagValue(argv[i], "--serve")) {
-            flags.serve = true;
-            flags.serve_port = static_cast<std::uint16_t>(
-                std::strtoul(v6, nullptr, 10));
+            flags.profile_out = v4;
         } else if (std::strcmp(argv[i], "--timelines") == 0) {
             flags.timelines = true;
         } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -278,8 +255,6 @@ applyObsFlags(const ObsFlags &flags)
     state().stats_json_path = flags.stats_json;
     state().timeline_csv_path = flags.timeline_out;
     state().profile_out_path = flags.profile_out;
-    if (!flags.trace_out.empty())
-        setTraceSink(std::make_unique<TraceSink>(flags.trace_out));
     if (flags.timelines) {
         TimelineConfig cfg;
         if (flags.timeline_interval > 0)
@@ -289,15 +264,6 @@ applyObsFlags(const ObsFlags &flags)
     }
     if (flags.profile)
         setSpanProfiler(std::make_unique<SpanProfiler>());
-    if (flags.serve) {
-        TelemetryConfig cfg;
-        cfg.port = flags.serve_port;
-        std::string err;
-        // A failed bind is loud but not fatal: telemetry is never a
-        // reason to lose a simulation run.
-        if (!startTelemetry(cfg, &err))
-            util::warn("telemetry: %s", err.c_str());
-    }
 }
 
 void
@@ -339,7 +305,7 @@ registerRobustnessStats()
         "ckpt.degraded_seek",     "ckpt.rebuild_fastforward",
         "ckpt.record_aborted",    "cache.quarantined",
         "cache.store_failed",     "report.write_failed",
-        "journal.torn_lines",     "net.retries",
+        "journal.torn_lines",
     };
     for (const char *name : robust_names)
         util::fi::counter(name);
@@ -371,6 +337,7 @@ initFromCli(int &argc, char **argv, const std::string &program_name)
     const ObsFlags flags = parseObsFlags(argc, argv);
     applyObsFlags(flags);
     installExitHandlers();
+    g_finalized.store(false);
 }
 
 void
@@ -397,18 +364,6 @@ setReportMeta(const std::string &key, double value)
     state().meta_num.emplace_back(key, value);
 }
 
-std::vector<std::pair<std::string, double>>
-reportMetaNumbers()
-{
-    return state().meta_num;
-}
-
-const std::string &
-reportProgramName()
-{
-    return state().program;
-}
-
 std::string
 reportJsonString()
 {
@@ -426,9 +381,8 @@ reportJsonString()
     w.endObject();
     registry().dumpJson(w);
     // Flat path -> registry-kind map, so the offline Prometheus
-    // export (pgss_report metrics) types stats the same way the live
-    // /metrics endpoint does. Reports predating this section fall
-    // back to gauge.
+    // export (pgss_report metrics) types counters as counters.
+    // Reports predating this section fall back to gauge.
     w.beginObject("stat_kinds");
     for (const auto &[path, kind] : registry().flattenKinds())
         w.field(path,
@@ -446,12 +400,6 @@ bool
 finalize()
 {
     g_finalized.store(true);
-    // Stop serving before assembling outputs: no scrape observes the
-    // final report mid-write, and the port is free when main() ends.
-    stopTelemetry();
-    if (TraceSink *t = traceSink())
-        t->flush();
-
     const bool report_ok = writeReportFile();
     const bool csv_ok = writeTimelineCsv();
     const bool prof_ok = writeProfileTrace();

@@ -19,8 +19,6 @@
  * Flags (also honoured as environment variables):
  *   --stats-json=<path>        (PGSS_STATS_JSON)        write the
  *                              report on finalize()
- *   --trace-out=<path>         (PGSS_TRACE_OUT)         stream trace
- *                              events as JSONL
  *   --timelines                (PGSS_TIMELINES=1)       enable the
  *                              timeline recorder at the default
  *                              snapshot stride
@@ -34,17 +32,13 @@
  *   --profile-out=<path>       (PGSS_PROFILE_OUT)       enable it and
  *                              also write a Chrome/Perfetto
  *                              trace_event JSON (ui.perfetto.dev)
- *   --serve=<port>             (PGSS_SERVE_PORT)        serve live
- *                              telemetry (/metrics /healthz /status)
- *                              on the port (0 = ephemeral; see
- *                              obs/telemetry.hh, DESIGN.md sec. 12)
  *
  * All flag stripping lives in parseObsFlags() so the bench and
  * example binaries share one implementation. initFromCli() strips the
  * flags it consumes from argv so positional argument parsing in the
  * binaries keeps working, installs the requested sinks, and registers
  * the abnormal-exit handlers (std::atexit plus SIGINT/SIGTERM) that
- * flush the trace sink and write a partial run report, so an
+ * write a partial run report, timeline CSV and Perfetto trace, so an
  * interrupted long run still yields usable observability data.
  */
 
@@ -53,8 +47,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/stats.hh"
 
@@ -64,9 +56,11 @@ namespace pgss::obs
 /**
  * Version of the "pgss-run-report" document. 2 dropped the "perf"
  * section (per-mode host timing moved to the profile's engine spans);
- * version-1 reports still load, show, diff and export.
+ * 3 dropped the networking stats (the "net" fault sites under
+ * "stats.fi" and the retry counter under "stats.robust"). Version-1
+ * and version-2 reports still load, show, diff and export.
  */
-constexpr std::uint32_t report_schema_version = 2;
+constexpr std::uint32_t report_schema_version = 3;
 
 /**
  * The process-wide stats registry that finalize() reports. Components
@@ -78,7 +72,6 @@ StatsRegistry &registry();
 struct ObsFlags
 {
     std::string stats_json;   ///< run-report path ("" = off)
-    std::string trace_out;    ///< trace JSONL path ("" = off)
     std::string timeline_out; ///< timeline CSV path ("" = no CSV)
     std::string profile_out;  ///< trace_event JSON path ("" = none)
     bool timelines = false;   ///< record timelines (implied by the
@@ -86,8 +79,6 @@ struct ObsFlags
     bool profile = false;     ///< record spans (implied by
                               ///< profile_out)
     std::uint64_t timeline_interval = 0; ///< snapshot stride (0 = default)
-    bool serve = false;            ///< start the telemetry server
-    std::uint16_t serve_port = 0;  ///< --serve=PORT (0 = ephemeral)
 };
 
 /**
@@ -99,8 +90,9 @@ struct ObsFlags
 ObsFlags parseObsFlags(int &argc, char **argv);
 
 /**
- * Install the sinks @p flags request: the trace sink, the timeline
- * recorder, and the report/CSV output paths consumed by finalize().
+ * Install what @p flags request: the timeline recorder, the span
+ * profiler, and the report/CSV/trace output paths consumed by
+ * finalize().
  */
 void applyObsFlags(const ObsFlags &flags);
 
@@ -108,7 +100,9 @@ void applyObsFlags(const ObsFlags &flags);
  * parseObsFlags() + applyObsFlags() + abnormal-exit handlers, and
  * remember @p program_name for the report header. Also arms fault
  * injection from PGSS_FI and registers the fault/robustness stats
- * (registerRobustnessStats()). Call once at the top of main().
+ * (registerRobustnessStats()). Call once at the top of main(). The
+ * exit handlers stay armed until finalize(); a later call re-arms
+ * them.
  */
 void initFromCli(int &argc, char **argv,
                  const std::string &program_name);
@@ -117,9 +111,9 @@ void initFromCli(int &argc, char **argv,
  * Register every util::fi fault site (per-site check and injection
  * counters, under "fi.<prefix>.*") and the robustness degradation
  * counters (under "robust.*" — quarantines, degraded seeks, rebuild
- * fast-forwards, ...) into registry(), so they flow into run reports
- * and live /metrics. Idempotent; called by initFromCli(). Binaries
- * that skip initFromCli() can call it directly.
+ * fast-forwards, ...) into registry(), so they flow into run reports.
+ * Idempotent; called by initFromCli(). Binaries that skip
+ * initFromCli() can call it directly.
  */
 void registerRobustnessStats();
 
@@ -127,19 +121,12 @@ void registerRobustnessStats();
 void setReportMeta(const std::string &key, const std::string &value);
 void setReportMeta(const std::string &key, double value);
 
-/** The numeric meta annotations set so far (live /metrics reads
- * them so scraped and reported values share dotted paths). */
-std::vector<std::pair<std::string, double>> reportMetaNumbers();
-
-/** The program name initFromCli() recorded ("unknown" before). */
-const std::string &reportProgramName();
-
 /** The complete run-report JSON document, as finalize() writes it. */
 std::string reportJsonString();
 
 /**
- * Flush the trace sink and, when --stats-json/--timeline-out were
- * given, write the run report and timeline CSV. Call once at the end
+ * Write the run report, timeline CSV and Perfetto trace that
+ * --stats-json/--timeline-out/--profile-out requested. Call once at the end
  * of main(), while every component registered into registry() is
  * still alive. @return false when a requested output could not be
  * written.

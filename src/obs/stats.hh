@@ -150,8 +150,7 @@ class StatsRegistry
     /**
      * Every stat as ("stats.<dotted path>", value), tree order, with
      * Vector stats flattened one element per entry — exactly the
-     * paths obs::loadReport() recovers from a run report, so the live
-     * /metrics endpoint and the offline export agree. Calls every
+     * paths obs::loadReport() recovers from a run report. Calls every
      * getter (same cost as one dump).
      */
     std::vector<std::pair<std::string, double>> flattenValues() const;
@@ -159,7 +158,9 @@ class StatsRegistry
     /**
      * Every stat as ("stats.<dotted path>", kind), tree order,
      * aligned with flattenValues() (Vector elements carry
-     * StatKind::Vector). Cheap: no getters are called.
+     * StatKind::Vector). The run report records it as "stat_kinds",
+     * which types `pgss_report metrics` output. Cheap: no getters
+     * are called.
      */
     std::vector<std::pair<std::string, StatKind>>
     flattenKinds() const;

@@ -169,6 +169,14 @@ TimelineRecorder::recordConvergence(std::uint32_t phase,
     curve->series.record({op, samples, mean, ci_rel, closed});
 }
 
+void
+TimelineRecorder::recordThreshold(std::uint64_t op, double radians)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (TimelineRun *run = currentRun())
+        run->threshold.record({op, radians});
+}
+
 std::vector<std::string>
 TimelineRecorder::seriesNames() const
 {
@@ -263,6 +271,19 @@ TimelineRecorder::dumpJson(JsonWriter &w) const
             w.endObject();
         }
         w.endObject();
+
+        const std::vector<ThresholdPoint> moves =
+            run.threshold.points();
+        w.beginObject("threshold");
+        w.beginArray("op");
+        for (const ThresholdPoint &p : moves)
+            w.value(p.op);
+        w.endArray();
+        w.beginArray("radians");
+        for (const ThresholdPoint &p : moves)
+            w.value(p.radians);
+        w.endArray();
+        w.endObject();
         if (run.dropped_curve_points)
             w.field("dropped_curve_points", run.dropped_curve_points);
         w.endObject();
@@ -305,6 +326,10 @@ TimelineRecorder::writeCsv(std::ostream &os) const
                               std::to_string(p.op), num(p.mean),
                               std::to_string(p.samples),
                               num(p.ci_rel), p.closed ? "1" : "0"});
+        for (const ThresholdPoint &p : run.threshold.points())
+            csv.writeRow({"threshold", run.label, "",
+                          std::to_string(p.op), num(p.radians), "",
+                          "", ""});
     }
 }
 

@@ -2,9 +2,9 @@
  * @file
  * Time-series observability: bounded-memory timelines of what a run
  * did over simulated time, complementing the end-of-run aggregates of
- * the stats registry and the raw event stream of the trace sink.
+ * the stats registry.
  *
- * Three kinds of series, all constant-memory for arbitrarily long
+ * Four kinds of series, all constant-memory for arbitrarily long
  * runs via stride-doubling downsampling (when a buffer fills, every
  * other retained point is dropped and the sampling stride doubles, so
  * retained points stay uniformly spaced and the memory bound is the
@@ -20,11 +20,14 @@
  *    credited sample — running sample count, mean, relative CI
  *    half-width, and open/closed state — the curve that shows each
  *    stratum's confidence interval closing over time.
+ *  - Threshold moves: per named run, one (op, radians) point each
+ *    time the adaptive threshold changes.
  *
  * Off by default: when no recorder is installed, the only cost is one
  * null-pointer branch per engine.run() chunk (per period, never per
  * instruction). Enabled, the cost is one registry walk per snapshot
- * interval and one struct append per classification/sample.
+ * interval and one struct append per classification, sample or
+ * threshold move.
  *
  * Lifetime contract matches the stats registry: counter snapshots
  * call registered getters, so components registered into the global
@@ -83,6 +86,13 @@ struct ConvergencePoint
     double mean = 0.0;         ///< running sample mean (CPI)
     double ci_rel = 0.0;       ///< CI half-width / |mean| (inf if n<2)
     bool closed = false;       ///< stratum within confidence bounds
+};
+
+/** One threshold-series point: the adaptive threshold moved at @p op. */
+struct ThresholdPoint
+{
+    std::uint64_t op = 0;
+    double radians = 0.0; ///< the new threshold
 };
 
 /**
@@ -150,17 +160,24 @@ class StridedSeries
     std::uint64_t compactions_ = 0;
 };
 
-/** One named sampling run: its phase timeline and convergence curves. */
+/**
+ * One named sampling run: its phase timeline, convergence curves and
+ * threshold moves.
+ */
 struct TimelineRun
 {
+    // Threshold moves happen at most once per period, so the phase
+    // timeline's capacity bounds them too.
     TimelineRun(std::string run_label, const TimelineConfig &config)
         : label(std::move(run_label)),
-          phase_timeline(config.phase_capacity)
+          phase_timeline(config.phase_capacity),
+          threshold(config.phase_capacity)
     {
     }
 
     std::string label;
     StridedSeries<PhasePoint> phase_timeline;
+    StridedSeries<ThresholdPoint> threshold;
 
     /** Curves in phase-id order (sparse; find by Curve::phase). */
     struct Curve
@@ -180,12 +197,12 @@ struct TimelineRun
  * recorder is absent (callers null-check timelines()).
  *
  * Thread safety: the hooks (advance(), beginRun(), recordPhase(),
- * recordConvergence()) serialize on an internal mutex, so engines on
- * worker threads cannot corrupt the recorder. Counter snapshots pull
- * live getters, however, so values read from engines running on other
- * threads are approximate; and runs started concurrently interleave
- * into one sequence. Parallel benches should prefer recording
- * timelines only on serial runs.
+ * recordConvergence(), recordThreshold()) serialize on an internal
+ * mutex, so engines on worker threads cannot corrupt the recorder.
+ * Counter snapshots pull live getters, however, so values read from
+ * engines running on other threads are approximate; and runs started
+ * concurrently interleave into one sequence. Parallel benches should
+ * prefer recording timelines only on serial runs.
  */
 class TimelineRecorder
 {
@@ -209,8 +226,9 @@ class TimelineRecorder
     // ---- Sampler hooks -------------------------------------------
     /**
      * Start a new named run; subsequent recordPhase()/
-     * recordConvergence() calls land in it. Beyond max_runs the run
-     * is counted as dropped and its records discarded.
+     * recordConvergence()/recordThreshold() calls land in it. Beyond
+     * max_runs the run is counted as dropped and its records
+     * discarded.
      */
     void beginRun(const std::string &label);
 
@@ -221,6 +239,9 @@ class TimelineRecorder
     void recordConvergence(std::uint32_t phase, std::uint64_t op,
                            std::uint64_t samples, double mean,
                            double ci_rel, bool closed);
+
+    /** Record one adaptive-threshold move of the current run. */
+    void recordThreshold(std::uint64_t op, double radians);
 
     // ---- Introspection (tests, report assembly) ------------------
     /** Current snapshot stride in ops (doubles on compaction). */
@@ -256,8 +277,8 @@ class TimelineRecorder
 
     /**
      * Long-format CSV: kind,run,key,op,value,samples,ci_rel,closed —
-     * counter snapshots, phase timelines, and convergence curves in
-     * one table (DESIGN.md section 8.5).
+     * counter snapshots, phase timelines, convergence curves and
+     * threshold moves in one table (DESIGN.md section 8.5).
      */
     void writeCsv(std::ostream &os) const;
 

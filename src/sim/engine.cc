@@ -2,11 +2,9 @@
 
 #include <bit>
 
-#include "obs/progress.hh"
 #include "obs/spans.hh"
 #include "obs/stats.hh"
 #include "obs/timeline.hh"
-#include "obs/trace.hh"
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
 
@@ -338,13 +336,6 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
         pipeline_->resync();
     last_was_detailed_ = detailed;
 
-    if (static_cast<int>(mode) != last_mode_) {
-        last_mode_ = static_cast<int>(mode);
-        if (obs::TraceSink *t = obs::traceSink())
-            t->emit(obs::TraceKind::ModeSwitch, core_->retired(),
-                    static_cast<std::uint32_t>(mode));
-    }
-
     const bool bbv = hashed_bbv_enabled_ || full_bbv_enabled_;
     const std::uint64_t cycles_before = pipeline_->cycles();
 
@@ -390,11 +381,6 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
     // on.
     if (obs::TimelineRecorder *tl = obs::timelines())
         tl->advance(done);
-
-    // Live run-progress: relaxed adds on the thread's current job
-    // (telemetry /status and /metrics); nullptr outside harness work.
-    if (obs::JobHandle *job = obs::currentJob())
-        job->addOps(done);
 
     return {done, pipeline_->cycles() - cycles_before};
 }
@@ -509,8 +495,6 @@ SimulationEngine::checkpoint() const
     c.hierarchy_ = hierarchy_->state();
     c.branch_ = branch_unit_->state();
     memory_->clearPageDirty();
-    if (obs::TraceSink *t = obs::traceSink())
-        t->emit(obs::TraceKind::CheckpointSave, core_->retired());
     return c;
 }
 
@@ -540,8 +524,6 @@ SimulationEngine::checkpointDelta() const
     c.hierarchy_ = hierarchy_->state();
     c.branch_ = branch_unit_->state();
     memory_->clearPageDirty();
-    if (obs::TraceSink *t = obs::traceSink())
-        t->emit(obs::TraceKind::CheckpointSave, core_->retired());
     return c;
 }
 
@@ -569,8 +551,6 @@ SimulationEngine::restore(const Checkpoint &ckpt)
     last_was_detailed_ = false;
     hashed_bbv_.reset();
     full_bbv_.reset();
-    if (obs::TraceSink *t = obs::traceSink())
-        t->emit(obs::TraceKind::CheckpointRestore, core_->retired());
 }
 
 } // namespace pgss::sim

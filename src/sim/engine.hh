@@ -232,9 +232,6 @@ class SimulationEngine
 
     ModeOps mode_ops_;
 
-    // The last mode run, for trace events.
-    int last_mode_ = -1;
-
     friend class Checkpoint;
 };
 

@@ -6,7 +6,7 @@
  * PGSS_PROFILE_CACHE points the ground-truth profile cache somewhere
  * other than the default. Other subsystems read their own knobs
  * through envString()/envDouble(): PGSS_LOG_LEVEL (util/logging),
- * PGSS_STATS_JSON and PGSS_TRACE_OUT (obs/report).
+ * PGSS_STATS_JSON and PGSS_PROFILE_OUT (obs/report).
  */
 
 #ifndef PGSS_UTIL_ENV_HH

@@ -1,12 +1,12 @@
 /**
  * @file
  * Deterministic fault injection (DESIGN.md section 13). Every fallible
- * operation in the persistence and networking layers passes through a
- * named `Site`; an env-driven schedule decides which checks fail:
+ * operation in the persistence layer passes through a named `Site`;
+ * an env-driven schedule decides which checks fail:
  *
  *     PGSS_FI="site=ckpt.write,mode=fail-nth:3"
  *     PGSS_FI="site=cache.read,mode=flip-rate:0.5,seed=7"
- *     PGSS_FI="site=*.write,mode=fail-rate:0.1,seed=1;site=net.*,mode=fail-always"
+ *     PGSS_FI="site=*.write,mode=fail-rate:0.1,seed=1;site=ckpt.*,mode=fail-always"
  *
  * Grammar: schedules separated by ';'; each schedule is comma-
  * separated key=value pairs:
@@ -28,10 +28,10 @@
  * check (a relaxed atomic load of a process-global flag); sites are
  * namespace-scope statics so they register before main() and can be
  * exported through the obs stats registry (per-site check/trigger
- * counters appear under "fi." in run reports and /metrics).
+ * counters appear under "fi." in run reports).
  *
  * counter() interns process-wide robustness counters (quarantines,
- * rebuilds, retries) that live below the obs layer — sim/analysis code
+ * rebuilds, failed writes) that live below the obs layer — sim/analysis code
  * bumps them and obs registers them at startup ("robust." stats).
  */
 

@@ -85,7 +85,7 @@ cache-write-fail)
     ;;
 
 report-enospc)
-    # Report/telemetry writes fail (disk full): the run must still
+    # Report writes fail (disk full): the run must still
     # complete with its stdout intact; only the report file is lost.
     baseline
     PGSS_FI="site=report.*,mode=fail-always" \

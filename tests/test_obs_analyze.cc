@@ -2,7 +2,7 @@
  * @file
  * Offline-analysis tests: loading/flattening run reports, A-vs-B
  * diffs on the golden reports in tests/data/, timeline rendering,
- * and the report/trace sanity checks behind `pgss_report check`.
+ * and the report sanity checks behind `pgss_report check`.
  */
 
 #include <cmath>
@@ -184,77 +184,24 @@ TEST(ObsAnalyzeCheck, PartialReportIsWarningNotViolation)
     EXPECT_FALSE(res.warnings.empty());
 }
 
-TEST(ObsAnalyzeTrace, CleanStreamPasses)
+TEST(ObsAnalyzeCheck, CatchesBadThresholdSeries)
 {
-    std::istringstream in(
-        "{\"t\":0.1,\"op\":100,\"ev\":\"phase\",\"phase\":0}\n"
-        "{\"t\":0.2,\"op\":150,\"ev\":\"sample_open\"}\n"
-        "{\"t\":0.3,\"op\":200,\"ev\":\"sample_close\"}\n"
-        "{\"t\":0.4,\"op\":300,\"ev\":\"eof\",\"emitted\":3,"
-        "\"dropped\":0}\n");
-    const CheckResult res = pgss::obs::checkTrace(in);
-    EXPECT_TRUE(res.ok()) << res.violations[0];
-    EXPECT_TRUE(res.warnings.empty());
-    EXPECT_EQ(res.trace_events, 3u);
-}
-
-TEST(ObsAnalyzeTrace, CatchesOrderingAndAccountingViolations)
-{
-    // Backwards timestamp, double-open, close-without-open, and an
-    // eof accounting mismatch.
-    std::istringstream in(
-        "{\"t\":0.5,\"op\":100,\"ev\":\"sample_open\"}\n"
-        "{\"t\":0.4,\"op\":120,\"ev\":\"sample_open\"}\n"
-        "{\"t\":0.6,\"op\":140,\"ev\":\"sample_close\"}\n"
-        "{\"t\":0.7,\"op\":150,\"ev\":\"sample_close\"}\n"
-        "{\"t\":0.8,\"op\":160,\"ev\":\"eof\",\"emitted\":9,"
-        "\"dropped\":0}\n");
-    const CheckResult res = pgss::obs::checkTrace(in);
-    EXPECT_FALSE(res.ok());
-    EXPECT_GE(res.violations.size(), 4u);
-}
-
-TEST(ObsAnalyzeTrace, EngineRestartImplicitlyClosesSamples)
-{
-    // Op moving backwards = a new engine: the open sample from the
-    // previous engine is implicitly closed, not a violation.
-    std::istringstream in(
-        "{\"t\":0.1,\"op\":500,\"ev\":\"sample_open\"}\n"
-        "{\"t\":0.2,\"op\":50,\"ev\":\"sample_open\"}\n"
-        "{\"t\":0.3,\"op\":90,\"ev\":\"sample_close\"}\n");
-    const CheckResult res = pgss::obs::checkTrace(in);
-    EXPECT_TRUE(res.ok()) << res.violations[0];
-    // Missing eof is a warning (interrupted run), not a violation.
-    ASSERT_FALSE(res.warnings.empty());
-    EXPECT_NE(res.warnings.back().find("eof"), std::string::npos);
-}
-
-TEST(ObsAnalyzeTrace, UnparseableAndMissingFieldsAreViolations)
-{
-    std::istringstream in(
-        "not json\n"
-        "{\"t\":0.1,\"ev\":\"phase\"}\n"
-        "{\"t\":0.2,\"op\":10,\"ev\":\"eof\",\"emitted\":0,"
-        "\"dropped\":0}\n"
-        "{\"t\":0.3,\"op\":20,\"ev\":\"phase\"}\n");
-    const CheckResult res = pgss::obs::checkTrace(in);
-    ASSERT_EQ(res.violations.size(), 3u);
-    EXPECT_NE(res.violations[0].find("line 1"), std::string::npos);
-    EXPECT_NE(res.violations[1].find("line 2"), std::string::npos);
-    EXPECT_NE(res.violations[2].find("after eof"), std::string::npos);
-}
-
-TEST(ObsAnalyzeTrace, RingDropsAreAccountedAndWarned)
-{
-    std::istringstream in(
-        "{\"t\":0.1,\"op\":10,\"ev\":\"phase\"}\n"
-        "{\"t\":0.2,\"op\":20,\"ev\":\"eof\",\"emitted\":4,"
-        "\"dropped\":3}\n");
-    const CheckResult res = pgss::obs::checkTrace(in);
-    EXPECT_TRUE(res.ok()) << res.violations[0];
-    ASSERT_FALSE(res.warnings.empty());
-    EXPECT_NE(res.warnings[0].find("3 events dropped"),
-              std::string::npos);
+    LoadedReport r;
+    std::string err;
+    // A threshold series whose op axis moves backwards and whose
+    // radians array is one short.
+    ASSERT_TRUE(pgss::obs::loadReportFromString(
+        "{\"schema\":\"pgss-run-report\",\"schema_version\":3,"
+        "\"program\":\"x\",\"stats\":{},"
+        "\"timelines\":{\"schema_version\":1,"
+        "\"runs\":[{\"label\":\"r\",\"threshold\":"
+        "{\"op\":[20,10],\"radians\":[0.1]}}]}}",
+        r, &err))
+        << err;
+    const CheckResult res = pgss::obs::checkReport(r);
+    ASSERT_EQ(res.violations.size(), 2u);
+    for (const std::string &v : res.violations)
+        EXPECT_NE(v.find("threshold"), std::string::npos) << v;
 }
 
 TEST(ObsAnalyzeProfile, FlattensProfilePathsAndPassesChecks)

@@ -3,8 +3,7 @@
  * End-to-end observability tests over a real PGSS run: the stats
  * registry's per-mode op counters must equal the engine's ModeOps
  * accounting exactly, controller counters must match the PgssResult,
- * and the trace stream must tell a consistent story (ordering,
- * sample open/close pairing).
+ * and the timelines must account for every period and sample.
  */
 
 #include <cstdint>
@@ -16,7 +15,7 @@
 #include "core/pgss_controller.hh"
 #include "helpers.hh"
 #include "obs/stats.hh"
-#include "obs/trace.hh"
+#include "obs/timeline.hh"
 #include "sim/engine.hh"
 
 using namespace pgss;
@@ -96,58 +95,44 @@ TEST(ObsIntegration, HierarchyBranchPipelineAndControllerStats)
                      result.final_threshold);
 }
 
-TEST(ObsIntegration, TraceStreamIsOrderedAndPaired)
+TEST(ObsIntegration, TimelineAccountsEveryPeriodAndSample)
 {
-    obs::setTraceSink(
-        std::make_unique<obs::TraceSink>("", 1 << 16));
+    obs::setTimelineRecorder(std::make_unique<obs::TimelineRecorder>());
 
     const workload::BuiltWorkload built = test::twoPhaseWorkload();
     sim::SimulationEngine engine(built.program);
+    obs::StatsRegistry reg;
     core::PgssConfig config;
     config.bbv_period = 100'000;
-    const core::PgssResult result =
-        core::PgssController(config).run(engine);
+    core::PgssController controller(config);
+    controller.registerStats(reg.root());
+    const core::PgssResult result = controller.run(engine);
 
-    const std::vector<obs::TraceEvent> events =
-        obs::traceSink()->events();
-    obs::setTraceSink(nullptr);
+    const obs::TimelineRecorder *tl = obs::timelines();
+    ASSERT_NE(tl, nullptr);
+    ASSERT_EQ(tl->runs().size(), 1u);
+    const obs::TimelineRun &run = tl->runs().front();
 
-    ASSERT_EQ(obs::traceSink(), nullptr);
-    ASSERT_FALSE(events.empty());
+    // One phase point per classified period.
+    EXPECT_EQ(run.phase_timeline.recorded(),
+              *reg.counterValue("pgss.periods"));
+    EXPECT_GT(run.phase_timeline.recorded(), 0u);
 
-    // First event is the initial mode switch into functional warming.
-    EXPECT_EQ(events[0].kind, obs::TraceKind::ModeSwitch);
-    EXPECT_EQ(events[0].id,
-              static_cast<std::uint32_t>(
-                  sim::SimMode::FunctionalWarm));
+    // One convergence point per credited sample.
+    std::uint64_t curve_points = 0;
+    for (const obs::TimelineRun::Curve &c : run.curves)
+        curve_points += c.series.recorded();
+    EXPECT_EQ(curve_points, result.n_samples);
+    EXPECT_GT(result.n_samples, 0u);
 
-    std::uint64_t opens = 0, closes = 0, phases = 0;
+    // Op positions never move backwards; every id is a real phase.
     std::uint64_t last_op = 0;
-    bool open_pending = false;
-    for (const obs::TraceEvent &e : events) {
-        // Op positions never move backwards.
-        EXPECT_GE(e.op, last_op);
-        last_op = e.op;
-        switch (e.kind) {
-          case obs::TraceKind::SampleOpen:
-            EXPECT_FALSE(open_pending);
-            open_pending = true;
-            ++opens;
-            break;
-          case obs::TraceKind::SampleClose:
-            EXPECT_TRUE(open_pending);
-            open_pending = false;
-            ++closes;
-            EXPECT_GT(e.value, 0.0); // measured CPI
-            break;
-          case obs::TraceKind::PhaseClassified:
-            ++phases;
-            break;
-          default:
-            break;
-        }
+    for (const obs::PhasePoint &p : run.phase_timeline.points()) {
+        EXPECT_GE(p.op, last_op);
+        last_op = p.op;
+        EXPECT_LT(p.phase, result.n_phases);
     }
-    EXPECT_EQ(closes, result.n_samples);
-    EXPECT_GE(opens, closes);
-    EXPECT_GT(phases, 0u);
+
+    obs::setTimelineRecorder(nullptr);
+    EXPECT_EQ(obs::timelines(), nullptr);
 }

@@ -1,8 +1,8 @@
 /**
  * @file
- * obs/prometheus: the text-exposition encoder shared by the live
- * /metrics endpoint and `pgss_report metrics`, plus the small parser
- * the tests and the telemetry e2e checks use to validate output.
+ * obs/prometheus: the text-exposition encoder behind
+ * `pgss_report metrics`, plus the small parser the tests use to
+ * validate its output.
  */
 
 #include <fstream>
@@ -36,19 +36,11 @@ TEST(PromName, SanitizesDottedPaths)
     EXPECT_EQ(promMetricName("weird-path+x"), "pgss_weird_path_x");
 }
 
-TEST(PromEscape, LabelValues)
-{
-    EXPECT_EQ(promEscapeLabel("plain"), "plain");
-    EXPECT_EQ(promEscapeLabel("a\"b"), "a\\\"b");
-    EXPECT_EQ(promEscapeLabel("a\\b"), "a\\\\b");
-    EXPECT_EQ(promEscapeLabel("a\nb"), "a\\nb");
-}
-
 TEST(PromEscape, HelpText)
 {
     EXPECT_EQ(promEscapeHelp("back\\slash"), "back\\\\slash");
     EXPECT_EQ(promEscapeHelp("two\nlines"), "two\\nlines");
-    // Quotes are NOT escaped in HELP (only in label values).
+    // Quotes are NOT escaped in HELP.
     EXPECT_EQ(promEscapeHelp("say \"hi\""), "say \"hi\"");
 }
 
@@ -58,12 +50,12 @@ TEST(PromRender, CounterVsGauge)
     c.name = "pgss_ops_total";
     c.help = "ops";
     c.type = MetricType::Counter;
-    c.samples.push_back({{}, 42.0});
+    c.value = 42.0;
     MetricFamily g;
     g.name = "pgss_temperature";
     g.help = "temp";
     g.type = MetricType::Gauge;
-    g.samples.push_back({{}, 1.5});
+    g.value = 1.5;
 
     const std::string text = renderToString({c, g});
     EXPECT_NE(text.find("# TYPE pgss_ops_total counter\n"),
@@ -75,30 +67,13 @@ TEST(PromRender, CounterVsGauge)
               std::string::npos);
 }
 
-TEST(PromRender, LabelsSortedByName)
-{
-    MetricFamily f;
-    f.name = "pgss_job_ops";
-    f.help = "per-job ops";
-    f.type = MetricType::Counter;
-    f.samples.push_back(
-        {{{"job", "0"}, {"entry", "164.gzip"}}, 7.0});
-
-    const std::string text = renderToString({f});
-    // "entry" sorts before "job" regardless of insertion order.
-    EXPECT_NE(
-        text.find("pgss_job_ops{entry=\"164.gzip\",job=\"0\"} 7\n"),
-        std::string::npos)
-        << text;
-}
-
 TEST(PromRender, RoundTripsThroughParser)
 {
     MetricFamily f;
     f.name = "pgss_x";
     f.help = "with \"quotes\" and a\nnewline";
     f.type = MetricType::Gauge;
-    f.samples.push_back({{{"k", "va\"l\\ue\n"}}, 3.25});
+    f.value = 3.25;
 
     ParsedFamilies parsed;
     std::string err;
@@ -107,9 +82,6 @@ TEST(PromRender, RoundTripsThroughParser)
         << err;
     ASSERT_EQ(parsed.samples.size(), 1u);
     EXPECT_EQ(parsed.samples[0].name, "pgss_x");
-    ASSERT_EQ(parsed.samples[0].labels.size(), 1u);
-    EXPECT_EQ(parsed.samples[0].labels[0].first, "k");
-    EXPECT_EQ(parsed.samples[0].labels[0].second, "va\"l\\ue\n");
     EXPECT_DOUBLE_EQ(parsed.samples[0].value, 3.25);
     ASSERT_EQ(parsed.types.size(), 1u);
     EXPECT_EQ(parsed.types[0].first, "pgss_x");
@@ -124,6 +96,10 @@ TEST(PromParse, RejectsMalformed)
         parsePrometheusText("pgss bad name 1\n", &parsed, &err));
     EXPECT_FALSE(parsePrometheusText("pgss_x{unclosed=\"v} 1\n",
                                      &parsed, &err));
+    // The encoder writes no labels: a well-formed labelled line is
+    // rejected too.
+    EXPECT_FALSE(
+        parsePrometheusText("pgss_x{k=\"v\"} 1\n", &parsed, &err));
     EXPECT_FALSE(
         parsePrometheusText("pgss_x notanumber\n", &parsed, &err));
 }
@@ -148,7 +124,7 @@ TEST(PromFromValues, DefaultTypesAndDuplicateDrop)
     const auto families = familiesFromValues(
         values, [](const std::string &) { return MetricType::Gauge; });
     ASSERT_EQ(families.size(), 1u);
-    EXPECT_DOUBLE_EQ(families[0].samples[0].value, 1.0);
+    EXPECT_DOUBLE_EQ(families[0].value, 1.0);
 }
 
 /**

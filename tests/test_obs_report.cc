@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests for the run report: CLI flag stripping, meta annotations, the
- * pgss-run-report schema, and finalize() writing the report file.
+ * pgss-run-report schema, finalize() writing the report file, and the
+ * SIGTERM handler writing a partial report.
  */
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -11,10 +13,15 @@
 #include <string>
 #include <vector>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "obs/json_read.hh"
 #include "obs/report.hh"
-#include "obs/trace.hh"
+#include "obs/spans.hh"
+#include "sim/engine.hh"
 #include "tests/helpers.hh"
 
 using namespace pgss::obs;
@@ -35,14 +42,19 @@ readFile(const std::string &path)
 
 TEST(ObsReport, InitFromCliStripsObservabilityFlags)
 {
-    const std::string report =
-        pgss::test::uniqueTempDir("pgss_report_strip") + ".json";
+    // A path in a directory that does not exist: the exit flush this
+    // leaves armed fails with a warning instead of writing a file.
+    const std::string path =
+        pgss::test::uniqueTempDir("pgss_report_strip") +
+        "/absent/report.json";
+    const std::string flag = "--stats-json=" + path;
+    std::vector<char> a1(flag.begin(), flag.end());
+    a1.push_back('\0');
     char prog[] = "prog";
-    char a1[] = "--stats-json=/dev/null";
     char a2[] = "164.gzip";
-    char a3[] = "--trace-out="; // empty value: no sink installed
+    char a3[] = "--profile-out="; // empty value: no profiler installed
     char a4[] = "0.5";
-    char *argv[] = {prog, a1, a2, a3, a4, nullptr};
+    char *argv[] = {prog, a1.data(), a2, a3, a4, nullptr};
     int argc = 5;
 
     initFromCli(argc, argv, "test_report");
@@ -51,9 +63,9 @@ TEST(ObsReport, InitFromCliStripsObservabilityFlags)
     EXPECT_STREQ(argv[1], "164.gzip");
     EXPECT_STREQ(argv[2], "0.5");
     EXPECT_EQ(argv[3], nullptr);
-    EXPECT_EQ(statsJsonPath(), "/dev/null");
-    EXPECT_EQ(traceSink(), nullptr);
-    (void)report;
+    EXPECT_EQ(statsJsonPath(), path);
+    EXPECT_EQ(profileOutPath(), "");
+    EXPECT_EQ(spanProfiler(), nullptr);
 }
 
 TEST(ObsReport, ReportCarriesSchemaAndSections)
@@ -72,7 +84,7 @@ TEST(ObsReport, ReportCarriesSchemaAndSections)
     EXPECT_EQ(doc.back(), '}');
     EXPECT_NE(doc.find("\"schema\":\"pgss-run-report\""),
               std::string::npos);
-    EXPECT_NE(doc.find("\"schema_version\":2"), std::string::npos);
+    EXPECT_NE(doc.find("\"schema_version\":3"), std::string::npos);
     EXPECT_NE(doc.find("\"program\":\"test_report\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"meta\":{"), std::string::npos);
@@ -83,6 +95,8 @@ TEST(ObsReport, ReportCarriesSchemaAndSections)
     // Schema 2: per-mode host timing lives in the profile's engine
     // spans, not in a "perf" section.
     EXPECT_EQ(doc.find("\"perf\""), std::string::npos);
+    // Schema 3: no networking fault sites or retry counter.
+    EXPECT_EQ(doc.find("\"net\""), std::string::npos);
 }
 
 TEST(ObsReport, MetaLastWritePerKeyWins)
@@ -117,8 +131,10 @@ TEST(ObsReport, FinalizeWritesTheReportFile)
 
 TEST(ObsReport, EnvFallbackSuppliesPaths)
 {
-    const std::string path =
-        pgss::test::uniqueTempDir("pgss_report_env") + ".json";
+    // Paths in a directory that does not exist, as above.
+    const std::string dir =
+        pgss::test::uniqueTempDir("pgss_report_env") + "/absent";
+    const std::string path = dir + "/env.json";
     ASSERT_EQ(setenv("PGSS_STATS_JSON", path.c_str(), 1), 0);
     char prog[] = "prog";
     char *argv[] = {prog, nullptr};
@@ -128,9 +144,77 @@ TEST(ObsReport, EnvFallbackSuppliesPaths)
     ASSERT_EQ(unsetenv("PGSS_STATS_JSON"), 0);
 
     // An explicit flag overrides the environment.
-    char flag[] = "--stats-json=/dev/null";
-    char *argv2[] = {prog, flag, nullptr};
+    const std::string flag = "--stats-json=" + dir + "/flag.json";
+    std::vector<char> flag_buf(flag.begin(), flag.end());
+    flag_buf.push_back('\0');
+    char *argv2[] = {prog, flag_buf.data(), nullptr};
     int argc2 = 2;
     initFromCli(argc2, argv2, "test_report_env");
-    EXPECT_EQ(statsJsonPath(), "/dev/null");
+    EXPECT_EQ(statsJsonPath(), dir + "/flag.json");
+}
+
+TEST(ObsReport, SigtermFlushesPartialReport)
+{
+    const std::string path =
+        pgss::test::uniqueTempDir("pgss_report_sigterm") + ".json";
+    std::remove(path.c_str());
+
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
+
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        // ---- child: a miniature bench binary.
+        ::close(ready[0]);
+        std::string arg0 = "sigterm_child";
+        std::string arg1 = "--stats-json=" + path;
+        char *argv_c[] = {arg0.data(), arg1.data(), nullptr};
+        int argc_c = 2;
+        initFromCli(argc_c, argv_c, "sigterm_child");
+        const pgss::workload::BuiltWorkload built =
+            pgss::test::twoPhaseWorkload();
+        pgss::sim::SimulationEngine engine(built.program,
+                                           pgss::sim::EngineConfig{});
+        // The exit handlers are installed: tell the parent. The flush
+        // allocates, so the signal must not land inside an allocation;
+        // from here on the child allocates nothing.
+        const char byte = 1;
+        if (::write(ready[1], &byte, 1) != 1)
+            ::_exit(126);
+        ::close(ready[1]);
+
+        // Simulate until killed (run() returns at once after the
+        // program halts).
+        for (;;)
+            engine.run(1'000'000, pgss::sim::SimMode::FunctionalFast);
+    }
+
+    // ---- parent.
+    ::close(ready[1]);
+    char byte = 0;
+    ASSERT_EQ(::read(ready[0], &byte, 1), 1);
+    ::close(ready[0]);
+
+    ASSERT_EQ(::kill(pid, SIGTERM), 0);
+    int wstatus = 0;
+    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    // The handler re-raises with default disposition after flushing.
+    ASSERT_TRUE(WIFSIGNALED(wstatus));
+    EXPECT_EQ(WTERMSIG(wstatus), SIGTERM);
+
+    const std::string text = readFile(path);
+    ASSERT_FALSE(text.empty()) << "no partial report at " << path;
+    JsonValue doc;
+    std::string err;
+    ASSERT_TRUE(parseJson(text, doc, &err)) << err;
+    ASSERT_NE(doc.get("partial"), nullptr);
+    EXPECT_TRUE(doc.get("partial")->boolean);
+    ASSERT_NE(doc.get("program"), nullptr);
+    EXPECT_EQ(doc.get("program")->string, "sigterm_child");
+    const JsonValue *meta = doc.get("meta");
+    ASSERT_NE(meta, nullptr);
+    ASSERT_NE(meta->get("exit_reason"), nullptr);
+    EXPECT_EQ(meta->get("exit_reason")->string, "sigterm");
+    std::remove(path.c_str());
 }

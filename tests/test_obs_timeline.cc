@@ -3,7 +3,8 @@
  * Timeline recorder invariants: stride-doubling downsampling keeps
  * first/last points and bounded memory; counter snapshots stay
  * aligned across compactions; per-phase convergence curves are
- * deterministic under a fixed RNG seed and their CI narrows.
+ * deterministic under a fixed RNG seed and their CI narrows; an
+ * adaptive run records every threshold move.
  */
 
 #include <cmath>
@@ -196,6 +197,7 @@ TEST(TimelineRecorderTest, DumpJsonIsValidAndComplete)
     rec->recordConvergence(0, 64, 1, 1.5,
                            std::numeric_limits<double>::infinity(),
                            false);
+    rec->recordThreshold(64, 0.25);
 
     pgss::obs::JsonWriter w;
     w.beginObject();
@@ -220,6 +222,12 @@ TEST(TimelineRecorderTest, DumpJsonIsValidAndComplete)
     const pgss::obs::JsonValue *curve = conv->get("0");
     ASSERT_TRUE(curve);
     EXPECT_TRUE(curve->get("ci_rel")->array[0].isNull());
+    const pgss::obs::JsonValue *th = runs->array[0].get("threshold");
+    ASSERT_TRUE(th);
+    ASSERT_EQ(th->get("op")->array.size(), 1u);
+    EXPECT_EQ(th->get("op")->array[0].asUint(), 64u);
+    ASSERT_EQ(th->get("radians")->array.size(), 1u);
+    EXPECT_DOUBLE_EQ(th->get("radians")->array[0].number, 0.25);
 }
 
 TEST(TimelineRecorderTest, CsvHasHeaderAndAllKinds)
@@ -231,6 +239,7 @@ TEST(TimelineRecorderTest, CsvHasHeaderAndAllKinds)
     rec->beginRun("r");
     rec->recordPhase(10, 3);
     rec->recordConvergence(3, 10, 1, 2.0, 0.1, true);
+    rec->recordThreshold(20, 0.5);
 
     std::ostringstream csv;
     rec->writeCsv(csv);
@@ -240,6 +249,7 @@ TEST(TimelineRecorderTest, CsvHasHeaderAndAllKinds)
     EXPECT_NE(text.find("phase,r,,10,3"), std::string::npos);
     EXPECT_NE(text.find("convergence,r,3,10,2,1,0.1,1"),
               std::string::npos);
+    EXPECT_NE(text.find("threshold,r,,20,0.5"), std::string::npos);
 }
 
 // ---- End-to-end: PGSS controller feeds the recorder ---------------
@@ -300,6 +310,31 @@ TEST(TimelinePgssTest, CurvesNarrowAndCloseDeterministically)
         std::make_unique<TimelineRecorder>(TimelineConfig{}));
     runPgssWithTimelines();
     EXPECT_EQ(first, csv(*pgss::obs::timelines()));
+}
+
+TEST(TimelinePgssTest, AdaptiveThresholdMovesAreRecorded)
+{
+    using namespace pgss;
+    ScopedRecorder rec(TimelineConfig{});
+    auto built = test::twoPhaseWorkload(300'000.0, 4);
+    sim::SimulationEngine engine(built.program);
+    core::PgssConfig config;
+    config.bbv_period = 10'000;
+    // Mis-tuned high: the two phases merge, so the pooled CPI
+    // dispersion pushes the threshold down.
+    config.threshold = 0.25 * M_PI;
+    config.adaptive.enabled = true;
+    const core::PgssResult result =
+        core::PgssController(config).run(engine);
+    ASSERT_GT(result.threshold_adjustments, 0u);
+
+    ASSERT_EQ(rec->runs().size(), 1u);
+    const TimelineRun &run = rec->runs().front();
+    EXPECT_EQ(run.threshold.recorded(), result.threshold_adjustments);
+    const std::vector<pgss::obs::ThresholdPoint> moves =
+        run.threshold.points();
+    ASSERT_FALSE(moves.empty());
+    EXPECT_EQ(moves.back().radians, result.final_threshold);
 }
 
 TEST(TimelinePgssTest, DisabledRecorderRecordsNothing)

@@ -1,7 +1,7 @@
 /**
  * @file
- * pgss_report — offline analysis of run-report JSON and trace JSONL
- * artefacts produced by the observability layer (DESIGN.md section 8).
+ * pgss_report — offline analysis of the run-report JSON documents
+ * produced by the observability layer (DESIGN.md section 8).
  *
  *   pgss_report show report.json          render tables + timelines
  *   pgss_report report.json               same ("show" is the default)
@@ -10,14 +10,10 @@
  *                                         (--top=N widens the list)
  *   pgss_report profile a.json b.json     per-span self-time deltas
  *   pgss_report metrics report.json       Prometheus text exposition
- *                                         of the report's numbers —
- *                                         the same families a live
- *                                         --serve=PORT run exposes on
- *                                         GET /metrics, for pushing
- *                                         finished-run results at a
- *                                         textfile collector
- *   pgss_report check report.json [trace.jsonl]
- *                                         sanity checks; exit 1 on any
+ *                                         of the report's numbers, for
+ *                                         pushing finished-run results
+ *                                         at a textfile collector
+ *   pgss_report check report.json        sanity checks; exit 1 on any
  *                                         violation (the CI gate for
  *                                         observability artefacts;
  *                                         the perf gate is
@@ -55,7 +51,7 @@ usage()
         << "       pgss_report profile <report.json> [--top=N]\n"
         << "       pgss_report profile <a.json> <b.json>\n"
         << "       pgss_report metrics <report.json>\n"
-        << "       pgss_report check <report.json> [trace.jsonl]\n"
+        << "       pgss_report check <report.json>\n"
         << "       pgss_report findings <findings.json>\n";
     return 2;
 }
@@ -145,35 +141,19 @@ cmdMetrics(const std::string &path)
 }
 
 int
-cmdCheck(const std::string &report_path,
-         const std::string &trace_path)
+cmdCheck(const std::string &report_path)
 {
     LoadedReport report;
     if (!load(report_path, report))
         return 1;
-    CheckResult total = pgss::obs::checkReport(report);
-    printCheck("report", total);
-
-    if (!trace_path.empty()) {
-        std::ifstream trace(trace_path, std::ios::binary);
-        if (!trace) {
-            std::cerr << "pgss_report: cannot open '" << trace_path
-                      << "'\n";
-            return 1;
-        }
-        const CheckResult tres = pgss::obs::checkTrace(trace);
-        printCheck("trace", tres);
-        std::cout << tres.trace_events << " trace events checked\n";
-        total.merge(tres);
-    }
-
-    if (!total.ok()) {
-        std::cout << "FAIL: " << total.violations.size()
+    const CheckResult res = pgss::obs::checkReport(report);
+    printCheck("report", res);
+    if (!res.ok()) {
+        std::cout << "FAIL: " << res.violations.size()
                   << " violation(s)\n";
         return 1;
     }
-    std::cout << "OK ("
-              << total.warnings.size() << " warning(s))\n";
+    std::cout << "OK (" << res.warnings.size() << " warning(s))\n";
     return 0;
 }
 
@@ -280,11 +260,8 @@ main(int argc, char **argv)
                           static_cast<std::size_t>(
                               std::strtoul(top.c_str(), nullptr, 10)));
     }
-    if (args[0] == "check") {
-        if (args.size() < 2 || args.size() > 3)
-            return usage();
-        return cmdCheck(args[1], args.size() == 3 ? args[2] : "");
-    }
+    if (args[0] == "check")
+        return args.size() == 2 ? cmdCheck(args[1]) : usage();
     if (args[0] == "findings")
         return args.size() == 2 ? cmdFindings(args[1]) : usage();
     if (args[0] == "metrics")
