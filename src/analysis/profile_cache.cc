@@ -28,7 +28,11 @@ constexpr std::uint32_t profile_version = 3;
 util::FileSites cache_sites("cache");
 util::fi::Site cache_read("cache.read");
 
-/** FNV-1a over the pieces that define a workload+machine identity. */
+/**
+ * FNV-1a over the pieces that define a workload+machine identity:
+ * code, data size, entry, interval size, and every numeric
+ * EngineConfig field.
+ */
 std::uint64_t
 identityHash(const isa::Program &program,
              const sim::EngineConfig &config,
@@ -51,14 +55,40 @@ identityHash(const isa::Program &program,
     mix(program.data_bytes);
     mix(program.entry);
     mix(interval_ops);
-    mix(config.hierarchy.l1d.size_bytes);
-    mix(config.hierarchy.l1d.assoc);
-    mix(config.hierarchy.l2.size_bytes);
+    // The full machine configuration: every field shapes the measured
+    // timing, so a profile built for one machine must never be served
+    // for another.
+    for (const mem::CacheConfig *c :
+         {&config.hierarchy.l1i, &config.hierarchy.l1d,
+          &config.hierarchy.l2}) {
+        mix(c->size_bytes);
+        mix(c->assoc);
+        mix(c->line_bytes);
+    }
+    mix(config.hierarchy.l1_latency);
+    mix(config.hierarchy.l2_latency);
     mix(config.hierarchy.mem_latency);
+    mix(config.branch.predictor_entries);
+    mix(config.branch.history_bits);
+    mix(config.branch.btb_entries);
+    mix(config.branch.ras_depth);
+    mix(config.branch.link_reg);
     mix(config.pipeline.width);
     mix(config.pipeline.mispredict_penalty);
-    mix(config.hashed_bbv.seed);
+    mix(config.pipeline.taken_branch_bubble);
+    mix(config.pipeline.int_alu_latency);
+    mix(config.pipeline.int_mul_latency);
+    mix(config.pipeline.int_div_latency);
+    mix(config.pipeline.fp_add_latency);
+    mix(config.pipeline.fp_mul_latency);
+    mix(config.pipeline.fp_div_latency);
+    mix(config.pipeline.store_latency);
+    mix(config.pipeline.store_buffer_entries);
+    mix(config.pipeline.bytes_per_inst);
     mix(config.hashed_bbv.hash_bits);
+    mix(config.hashed_bbv.bit_range_lo);
+    mix(config.hashed_bbv.bit_range_hi);
+    mix(config.hashed_bbv.seed);
     return h;
 }
 

@@ -54,12 +54,14 @@ class Btb
     /** Clear all entries. */
     void reset();
 
-    /** Serialized state for checkpointing. */
+    /** Entry snapshot for checkpointing. */
     struct State
     {
         std::vector<std::uint64_t> tags;
         std::vector<std::uint64_t> targets;
         std::vector<std::uint8_t> valid;
+
+        bool operator==(const State &) const = default;
     };
 
     State state() const;

@@ -245,7 +245,6 @@ FunctionalCore::execute(std::uint64_t n, std::uint64_t &ops_since_taken,
     const std::uint64_t code_size = fast_table_.size();
     std::uint64_t *mem = memory_.rawWords();
     const std::uint64_t mem_words = memory_.words().size();
-    std::uint8_t *page_dirty = memory_.rawPageDirty();
 
     // Local register file with the scratch slot for r0 writes; reads
     // of r0 still see slot 0, which no table entry writes.
@@ -356,7 +355,6 @@ FunctionalCore::execute(std::uint64_t n, std::uint64_t &ops_since_taken,
                           "memory write out of range");
             hooks.memory(addr, true);
             mem[w] = b;
-            page_dirty[w >> mem::MainMemory::page_shift] = 1;
             break;
           }
           case Opcode::Beq:

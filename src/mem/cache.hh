@@ -102,6 +102,8 @@ class Cache
         std::vector<std::uint8_t> dirty;
         std::vector<std::uint64_t> stamp;
         std::uint64_t tick;
+
+        bool operator==(const State &) const = default;
     };
 
     /** Capture tag state. */

@@ -85,6 +85,8 @@ class CacheHierarchy
     struct State
     {
         Cache::State l1i, l1d, l2;
+
+        bool operator==(const State &) const = default;
     };
 
     /** Capture hierarchy state. */

@@ -1,18 +1,12 @@
 #include "mem/main_memory.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 
 namespace pgss::mem
 {
 
-MainMemory::MainMemory(std::uint64_t bytes)
-    : words_((bytes + 7) / 8, 0),
-      page_dirty_((words_.size() + page_words - 1) / page_words, 1)
+MainMemory::MainMemory(std::uint64_t bytes) : words_((bytes + 7) / 8, 0)
 {
-    // Every page starts dirty: nothing has been captured yet, so a
-    // first delta would have to carry the whole image.
 }
 
 std::uint64_t
@@ -31,40 +25,12 @@ MainMemory::write(std::uint64_t addr, std::uint64_t value)
     const std::uint64_t w = addr >> 3;
     util::panicIf(w >= words_.size(), "memory write out of range");
     words_[w] = value;
-    page_dirty_[w >> page_shift] = 1;
 }
 
 void
 MainMemory::setWords(std::vector<std::uint64_t> w)
 {
     words_ = std::move(w);
-    page_dirty_.assign((words_.size() + page_words - 1) / page_words,
-                       1);
-}
-
-std::uint64_t
-MainMemory::pageWordCount(std::uint32_t page) const
-{
-    util::panicIf(page >= page_dirty_.size(),
-                  "page index out of range");
-    const std::uint64_t first = std::uint64_t{page} * page_words;
-    return std::min(page_words, words_.size() - first);
-}
-
-std::vector<std::uint32_t>
-MainMemory::dirtyPageList() const
-{
-    std::vector<std::uint32_t> pages;
-    for (std::size_t p = 0; p < page_dirty_.size(); ++p)
-        if (page_dirty_[p])
-            pages.push_back(static_cast<std::uint32_t>(p));
-    return pages;
-}
-
-void
-MainMemory::clearPageDirty()
-{
-    std::fill(page_dirty_.begin(), page_dirty_.end(), 0);
 }
 
 } // namespace pgss::mem

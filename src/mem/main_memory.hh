@@ -3,11 +3,6 @@
  * Flat data memory for a simulated program. Word-addressed internally
  * (64-bit words) but exposed with byte addresses to match the ISA's
  * load/store semantics; accesses must be 8-byte aligned.
- *
- * The memory tracks writes at page granularity (4 KiB) so checkpoints
- * can store only the pages touched since the previous capture (delta
- * checkpoints, see sim/checkpoint.hh). The tracking cost is one byte
- * store per simulated store instruction.
  */
 
 #ifndef PGSS_MEM_MAIN_MEMORY_HH
@@ -28,13 +23,6 @@ namespace pgss::mem
 class MainMemory
 {
   public:
-    /** Dirty-tracking granularity: 2^page_shift words = 4 KiB. */
-    static constexpr std::uint64_t page_shift = 9;
-
-    /** Words per dirty-tracking page. */
-    static constexpr std::uint64_t page_words =
-        std::uint64_t{1} << page_shift;
-
     /** Allocate @p bytes of zeroed memory (rounded up to words). */
     explicit MainMemory(std::uint64_t bytes);
 
@@ -50,34 +38,15 @@ class MainMemory
     /** Raw word storage, for checkpointing. */
     const std::vector<std::uint64_t> &words() const { return words_; }
 
-    /**
-     * Replace the word storage, for checkpoint restore. Marks every
-     * page dirty: the new image has no known relation to the last
-     * captured baseline.
-     */
+    /** Replace the word storage, for checkpoint restore. */
     void setWords(std::vector<std::uint64_t> w);
 
-    /** Number of dirty-tracking pages. */
-    std::size_t numPages() const { return page_dirty_.size(); }
-
-    /** Words in page @p page (the last page may be partial). */
-    std::uint64_t pageWordCount(std::uint32_t page) const;
-
-    /** Pages written since the last clearPageDirty(), ascending. */
-    std::vector<std::uint32_t> dirtyPageList() const;
-
-    /** Reset dirty tracking (a checkpoint baseline was captured). */
-    void clearPageDirty();
-
-    // Fast-path access (cpu::FunctionalCore::execute): raw storage
-    // plus the dirty byte map. Callers must bounds-check and mark
-    // pages dirty exactly as write() does.
+    // Fast-path access (cpu::FunctionalCore::execute): raw storage.
+    // Callers must bounds-check as read()/write() do.
     std::uint64_t *rawWords() { return words_.data(); }
-    std::uint8_t *rawPageDirty() { return page_dirty_.data(); }
 
   private:
     std::vector<std::uint64_t> words_;
-    std::vector<std::uint8_t> page_dirty_; ///< one byte per page
 };
 
 } // namespace pgss::mem

@@ -805,7 +805,8 @@ benchSnapshotFromReport(const LoadedReport &report,
             w.field(path.substr(5), v);
     w.endObject();
     // One "mode.<mode>" object per engine mode span (the ff/detailed
-    // "engine.<mode>" rows; engine.reset is a checkpoint span). The
+    // "engine.<mode>" rows; the category check skips any other
+    // "engine." span an older report carries). The
     // "perf.mode.<mode>.*" layout is the one every committed
     // BENCH_pr<N>.json carries, so fresh snapshots and old baselines
     // line up path for path.

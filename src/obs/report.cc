@@ -274,7 +274,7 @@ registerRobustnessStats()
         return;
     done = true;
 
-    // Dotted fault-site names ("ckpt.write") map to a child group per
+    // Dotted fault-site names ("cache.write") map to a child group per
     // prefix with two counters per site: how often the site was
     // evaluated while fault injection was armed, and how often a
     // fault was actually injected.
@@ -297,15 +297,12 @@ registerRobustnessStats()
     }
 
     // Degradation counters tick when the robustness machinery absorbs
-    // damage (quarantine, degraded seek, rebuild, failed best-effort
-    // write). Interned eagerly so they report 0 in clean runs instead
+    // damage (quarantine, failed best-effort write, torn journal
+    // line). Interned eagerly so they report 0 in clean runs instead
     // of being absent.
     static const char *const robust_names[] = {
-        "ckpt.quarantined",       "ckpt.load_failed",
-        "ckpt.degraded_seek",     "ckpt.rebuild_fastforward",
-        "ckpt.record_aborted",    "cache.quarantined",
-        "cache.store_failed",     "report.write_failed",
-        "journal.torn_lines",
+        "cache.quarantined",  "cache.store_failed",
+        "report.write_failed", "journal.torn_lines",
     };
     for (const char *name : robust_names)
         util::fi::counter(name);

@@ -57,10 +57,12 @@ namespace pgss::obs
  * Version of the "pgss-run-report" document. 2 dropped the "perf"
  * section (per-mode host timing moved to the profile's engine spans);
  * 3 dropped the networking stats (the "net" fault sites under
- * "stats.fi" and the retry counter under "stats.robust"). Version-1
- * and version-2 reports still load, show, diff and export.
+ * "stats.fi" and the retry counter under "stats.robust"); 4 dropped
+ * the checkpoint library's five degradation counters from
+ * "stats.robust".
+ * Reports of versions 1 to 3 still load, show, diff and export.
  */
-constexpr std::uint32_t report_schema_version = 3;
+constexpr std::uint32_t report_schema_version = 4;
 
 /**
  * The process-wide stats registry that finalize() reports. Components

@@ -66,7 +66,7 @@ enum class SpanCat : std::uint8_t
 {
     Ff,         ///< functional fast-forward (fast or warm)
     Detailed,   ///< detailed warm-up / measured windows
-    Checkpoint, ///< checkpoint save/restore/delta-resolve
+    Checkpoint, ///< checkpoint save/restore
     Cluster,    ///< k-means / projection work
     Bench,      ///< harness orchestration (per-entry, controllers)
     Io,         ///< profile-cache and artefact file traffic

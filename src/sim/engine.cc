@@ -192,31 +192,6 @@ SimulationEngine::SimulationEngine(const isa::Program &program,
 }
 
 void
-SimulationEngine::reset()
-{
-    PGSS_SPAN("engine.reset", Checkpoint);
-    memory_ = std::make_unique<mem::MainMemory>(program_.data_bytes);
-    if (!program_.data_words.empty()) {
-        std::vector<std::uint64_t> image = program_.data_words;
-        image.resize(memory_->words().size(), 0);
-        memory_->setWords(std::move(image));
-    }
-    core_ = std::make_unique<cpu::FunctionalCore>(
-        program_, *memory_, config_.branch.link_reg);
-    hierarchy_ =
-        std::make_unique<mem::CacheHierarchy>(config_.hierarchy);
-    branch_unit_ =
-        std::make_unique<timing::BranchUnit>(config_.branch);
-    pipeline_ = std::make_unique<timing::InOrderPipeline>(
-        config_.pipeline, *hierarchy_, *branch_unit_);
-    ops_since_taken_ = 0;
-    warm_fetch_line_ = ~0ull;
-    last_was_detailed_ = false;
-    hashed_bbv_.reset();
-    full_bbv_.reset();
-}
-
-void
 SimulationEngine::trackBbv(const cpu::DynInst &rec)
 {
     ++ops_since_taken_;
@@ -491,39 +466,8 @@ SimulationEngine::checkpoint() const
     c.ops_since_taken_ = ops_since_taken_;
     c.warm_fetch_line_ = warm_fetch_line_;
     c.memory_words_ = memory_->words();
-    c.mem_total_words_ = memory_->words().size();
     c.hierarchy_ = hierarchy_->state();
     c.branch_ = branch_unit_->state();
-    memory_->clearPageDirty();
-    return c;
-}
-
-Checkpoint
-SimulationEngine::checkpointDelta() const
-{
-    PGSS_SPAN("checkpoint.save_delta", Checkpoint);
-    Checkpoint c;
-    c.regs_ = core_->regs();
-    c.pc_ = core_->pc();
-    c.halted_ = core_->halted();
-    c.retired_ = core_->retired();
-    c.ops_since_taken_ = ops_since_taken_;
-    c.warm_fetch_line_ = warm_fetch_line_;
-    c.mem_delta_ = true;
-    c.mem_total_words_ = memory_->words().size();
-    c.delta_pages_ = memory_->dirtyPageList();
-    const std::vector<std::uint64_t> &words = memory_->words();
-    for (std::uint32_t page : c.delta_pages_) {
-        const std::uint64_t first =
-            std::uint64_t{page} * mem::MainMemory::page_words;
-        const std::uint64_t count = memory_->pageWordCount(page);
-        c.memory_words_.insert(c.memory_words_.end(),
-                               words.begin() + first,
-                               words.begin() + first + count);
-    }
-    c.hierarchy_ = hierarchy_->state();
-    c.branch_ = branch_unit_->state();
-    memory_->clearPageDirty();
     return c;
 }
 
@@ -531,9 +475,6 @@ void
 SimulationEngine::restore(const Checkpoint &ckpt)
 {
     PGSS_SPAN("checkpoint.restore", Checkpoint);
-    util::panicIf(ckpt.mem_delta_,
-                  "cannot restore a delta checkpoint directly; "
-                  "resolve it with Checkpoint::applyDelta first");
     util::panicIf(ckpt.memory_words_.size() != memory_->words().size(),
                   "checkpoint from a different program");
     core_->setRegs(ckpt.regs_);

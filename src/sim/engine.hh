@@ -152,33 +152,13 @@ class SimulationEngine
     bbv::SparseBbv harvestFullBbv();
 
     /**
-     * Capture a restartable snapshot of the simulation state (full
-     * memory image). Resets the memory's page-dirty baseline: the next
-     * checkpointDelta() captures pages written from this point on.
+     * Capture an in-memory snapshot of the simulation state: registers,
+     * the whole memory image, cache tags and predictor tables.
      */
     Checkpoint checkpoint() const;
 
-    /**
-     * Capture a delta snapshot: full architectural/cache/branch state,
-     * but only the memory pages written since the previous
-     * checkpoint()/checkpointDelta() capture. Must be resolved against
-     * its chain of predecessors (Checkpoint::applyDelta) before it can
-     * be restored; CheckpointLibrary automates that.
-     */
-    Checkpoint checkpointDelta() const;
-
     /** Restore a snapshot captured on this program/config. */
     void restore(const Checkpoint &ckpt);
-
-    /**
-     * Return the engine to its freshly-constructed state at position
-     * 0 (per-mode op accounting is kept — a rebuild's re-executed
-     * instructions are real simulation work). CheckpointLibrary uses
-     * this to fall back to a fast-forward rebuild when every on-disk
-     * checkpoint at or below a seek target is corrupt and the engine
-     * is already past the target.
-     */
-    void reset();
 
     /**
      * Enable/disable the FastOp execute loop (on by default). Every
@@ -231,8 +211,6 @@ class SimulationEngine
     bool last_was_detailed_ = false;
 
     ModeOps mode_ops_;
-
-    friend class Checkpoint;
 };
 
 } // namespace pgss::sim

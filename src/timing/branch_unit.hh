@@ -108,11 +108,13 @@ class BranchUnit
     /** Reset all tables to power-on state. */
     void reset();
 
-    /** Serialized predictor+BTB state for checkpointing. */
+    /** Predictor+BTB snapshot for checkpointing. */
     struct State
     {
         std::vector<std::uint8_t> predictor;
         branch::Btb::State btb;
+
+        bool operator==(const State &) const = default;
     };
 
     State state() const;

@@ -5,12 +5,12 @@
  * next to the destination, fsyncs, and renames into place — so a
  * crash (or an injected fault) at any point leaves either the old
  * file or the new one, never a truncated hybrid. Every persistent
- * artifact writer (checkpoints, profile cache, run reports, timeline
+ * artifact writer (profile cache, run reports, timeline
  * CSVs, bench snapshots) routes through this.
  *
  * Each fallible step checks a fault-injection site; callers pass a
  * FileSites bundle to give their artifact class its own site names
- * ("ckpt.open"/"ckpt.write"/...), or inherit the generic "fs.*"
+ * ("cache.open"/"cache.write"/...), or inherit the generic "fs.*"
  * sites.
  */
 
@@ -31,7 +31,7 @@ namespace pgss::util
  * The four fault-injection sites one artifact class's atomic writes
  * check. Declare at namespace scope with a string-literal prefix:
  *
- *     namespace { util::FileSites ckpt_sites("ckpt"); }
+ *     namespace { util::FileSites cache_sites("cache"); }
  */
 struct FileSites
 {
@@ -47,7 +47,7 @@ FileSites &fsSites();
 /**
  * Accumulate-then-commit writer:
  *
- *     AtomicFileWriter out(path, &ckpt_sites);
+ *     AtomicFileWriter out(path, &cache_sites);
  *     out.write(bytes.data(), bytes.size());
  *     if (!out.commit(&err)) ...   // old file still intact
  *

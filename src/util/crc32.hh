@@ -1,11 +1,10 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) for artifact
- * integrity checking. Every persistent binary artifact (checkpoints,
- * the profile cache, checkpoint-library metadata) seals each logical
- * section with a CRC so truncation and bit corruption are detected at
- * load time instead of surfacing as garbage state — see DESIGN.md
- * section 13.
+ * integrity checking. The persistent binary artifact, the profile
+ * cache, seals each logical section with a CRC so truncation and bit
+ * corruption are detected at load time instead of surfacing as
+ * garbage state — see DESIGN.md section 13.
  */
 
 #ifndef PGSS_UTIL_CRC32_HH

@@ -4,9 +4,9 @@
  * operation in the persistence layer passes through a named `Site`;
  * an env-driven schedule decides which checks fail:
  *
- *     PGSS_FI="site=ckpt.write,mode=fail-nth:3"
+ *     PGSS_FI="site=cache.write,mode=fail-nth:3"
  *     PGSS_FI="site=cache.read,mode=flip-rate:0.5,seed=7"
- *     PGSS_FI="site=*.write,mode=fail-rate:0.1,seed=1;site=ckpt.*,mode=fail-always"
+ *     PGSS_FI="site=*.write,mode=fail-rate:0.1,seed=1;site=cache.*,mode=fail-always"
  *
  * Grammar: schedules separated by ';'; each schedule is comma-
  * separated key=value pairs:
@@ -60,7 +60,7 @@ active()
  * One named fault-injection point. Declare at namespace scope (static
  * storage) so the site exists before obs registration:
  *
- *     namespace { util::fi::Site fi_write("ckpt.write"); }
+ *     namespace { util::fi::Site fi_write("cache.write"); }
  *     ...
  *     if (fi_write.shouldFail())
  *         return false;  // injected failure
@@ -143,7 +143,7 @@ std::string activeSpec();
 
 /**
  * Intern the process-wide robustness counter @p name (e.g.
- * "ckpt.quarantined"). The reference is stable for the process
+ * "cache.quarantined"). The reference is stable for the process
  * lifetime; bump with fetch_add(1, std::memory_order_relaxed).
  */
 std::atomic<std::uint64_t> &counter(const std::string &name);

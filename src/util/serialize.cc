@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "util/atomic_file.hh"
 #include "util/crc32.hh"
 
 namespace pgss::util
@@ -12,12 +11,6 @@ BinaryWriter::BinaryWriter(std::uint32_t magic, std::uint32_t version)
 {
     putU32(magic);
     putU32(version);
-}
-
-void
-BinaryWriter::putU8(std::uint8_t v)
-{
-    buf_.push_back(v);
 }
 
 void
@@ -32,12 +25,6 @@ BinaryWriter::putU64(std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
         buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-BinaryWriter::putI64(std::int64_t v)
-{
-    putU64(static_cast<std::uint64_t>(v));
 }
 
 void
@@ -64,33 +51,12 @@ BinaryWriter::putDoubleVec(const std::vector<double> &v)
 }
 
 void
-BinaryWriter::putU64Vec(const std::vector<std::uint64_t> &v)
-{
-    putU64(v.size());
-    for (std::uint64_t u : v)
-        putU64(u);
-}
-
-void
-BinaryWriter::putU8Vec(const std::vector<std::uint8_t> &v)
-{
-    putU64(v.size());
-    buf_.insert(buf_.end(), v.begin(), v.end());
-}
-
-void
 BinaryWriter::putSectionCrc()
 {
     const std::uint32_t crc =
         crc32(buf_.data() + section_start_, buf_.size() - section_start_);
     putU32(crc);
     section_start_ = buf_.size();
-}
-
-bool
-BinaryWriter::writeFile(const std::string &path, FileSites *sites) const
-{
-    return atomicWriteFile(path, buf_.data(), buf_.size(), sites);
 }
 
 BinaryReader::BinaryReader(std::vector<std::uint8_t> data,
@@ -112,19 +78,6 @@ BinaryReader::BinaryReader(std::vector<std::uint8_t> data,
         error_ = ReadError::Stale;
 }
 
-BinaryReader
-BinaryReader::fromFile(const std::string &path, std::uint32_t magic,
-                       std::uint32_t version)
-{
-    std::vector<std::uint8_t> data;
-    if (!readFileBytes(path, data)) {
-        BinaryReader r(std::move(data), magic, version);
-        r.error_ = ReadError::Missing;
-        return r;
-    }
-    return BinaryReader(std::move(data), magic, version);
-}
-
 bool
 BinaryReader::need(std::size_t n)
 {
@@ -134,14 +87,6 @@ BinaryReader::need(std::size_t n)
         return false;
     }
     return true;
-}
-
-std::uint8_t
-BinaryReader::getU8()
-{
-    if (!need(1))
-        return 0;
-    return buf_[pos_++];
 }
 
 std::uint32_t
@@ -164,12 +109,6 @@ BinaryReader::getU64()
     for (int i = 0; i < 8; ++i)
         v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
     return v;
-}
-
-std::int64_t
-BinaryReader::getI64()
-{
-    return static_cast<std::int64_t>(getU64());
 }
 
 double
@@ -212,36 +151,6 @@ BinaryReader::getDoubleVec()
     v.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i)
         v.push_back(getDouble());
-    return v;
-}
-
-std::vector<std::uint64_t>
-BinaryReader::getU64Vec()
-{
-    std::uint64_t n = getU64();
-    std::vector<std::uint64_t> v;
-    if (!ok() || n > (buf_.size() - pos_) / 8) {
-        markCorrupt();
-        return v;
-    }
-    v.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i)
-        v.push_back(getU64());
-    return v;
-}
-
-std::vector<std::uint8_t>
-BinaryReader::getU8Vec()
-{
-    std::uint64_t n = getU64();
-    std::vector<std::uint8_t> v;
-    if (!ok() || n > buf_.size() - pos_) {
-        markCorrupt();
-        return v;
-    }
-    v.assign(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-             buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += static_cast<std::size_t>(n);
     return v;
 }
 

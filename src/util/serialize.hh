@@ -1,8 +1,8 @@
 /**
  * @file
- * Tiny binary serialization layer used by checkpoints and the interval
- * profile cache. Little-endian, length-prefixed, with a magic/version
- * header validated on load and optional CRC-32-sealed sections
+ * Tiny binary serialization layer for the interval profile cache, the
+ * one persisted binary artifact. Little-endian, length-prefixed, with
+ * a magic/version header validated on load and CRC-32-sealed sections
  * (DESIGN.md section 13): putSectionCrc() appends the CRC of every
  * byte since the previous seal, and checkSectionCrc() on the reader
  * verifies it — so truncation and bit corruption of a persisted
@@ -20,14 +20,11 @@
 namespace pgss::util
 {
 
-struct FileSites;
-
 /** Why a BinaryReader is not ok(). Drives quarantine decisions:
  * Corrupt artifacts are quarantined; Stale ones silently rebuilt. */
 enum class ReadError : std::uint8_t
 {
     None,    ///< ok() is true
-    Missing, ///< file absent (fromFile only)
     Stale,   ///< right magic, different version (old cache entry)
     Corrupt, ///< wrong magic, truncation, or CRC mismatch
 };
@@ -39,15 +36,11 @@ class BinaryWriter
     /** Start a stream tagged with @p magic and @p version. */
     BinaryWriter(std::uint32_t magic, std::uint32_t version);
 
-    void putU8(std::uint8_t v);
     void putU32(std::uint32_t v);
     void putU64(std::uint64_t v);
-    void putI64(std::int64_t v);
     void putDouble(double v);
     void putString(const std::string &s);
     void putDoubleVec(const std::vector<double> &v);
-    void putU64Vec(const std::vector<std::uint64_t> &v);
-    void putU8Vec(const std::vector<std::uint8_t> &v);
 
     /**
      * Seal the bytes appended since the previous seal (or the stream
@@ -59,15 +52,6 @@ class BinaryWriter
 
     /** The encoded bytes (header included). */
     const std::vector<std::uint8_t> &bytes() const { return buf_; }
-
-    /**
-     * Write the encoded bytes to @p path atomically (temp file +
-     * fsync + rename; see util::AtomicFileWriter). @p sites selects
-     * the fault-injection sites checked ("fs.*" by default).
-     * @return false on I/O error or injected fault.
-     */
-    bool writeFile(const std::string &path,
-                   FileSites *sites = nullptr) const;
 
   private:
     std::vector<std::uint8_t> buf_;
@@ -88,26 +72,17 @@ class BinaryReader
     BinaryReader(std::vector<std::uint8_t> data, std::uint32_t magic,
                  std::uint32_t version);
 
-    /** Load a file then decode. A missing file yields !ok(). */
-    static BinaryReader fromFile(const std::string &path,
-                                 std::uint32_t magic,
-                                 std::uint32_t version);
-
     /** True when the header matched and no read overran the buffer. */
     bool ok() const { return error_ == ReadError::None; }
 
     /** Failure classification (None while ok()). */
     ReadError error() const { return error_; }
 
-    std::uint8_t getU8();
     std::uint32_t getU32();
     std::uint64_t getU64();
-    std::int64_t getI64();
     double getDouble();
     std::string getString();
     std::vector<double> getDoubleVec();
-    std::vector<std::uint64_t> getU64Vec();
-    std::vector<std::uint8_t> getU8Vec();
 
     /**
      * Verify the CRC-32 seal of the bytes consumed since the previous

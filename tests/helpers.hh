@@ -90,36 +90,6 @@ twoPhaseWorkload(double ops_per_phase = 400'000.0,
     return workload::buildProgram(w, 1.0);
 }
 
-/**
- * A workload that actually writes memory: a small streaming update
- * (8 KiB footprint, read-modify-write every word) alternating with a
- * pointer chase over a large read-only image. Stream phases dirty a
- * couple of 4 KiB pages per stride while most of the image stays
- * untouched — the shape delta checkpoints are designed for.
- */
-inline workload::BuiltWorkload
-storingWorkload(double ops_per_phase = 50'000.0,
-                std::uint32_t rounds = 3)
-{
-    workload::WorkloadSpec w;
-    w.name = "store-stream";
-    workload::KernelSpec stream;
-    stream.kind = workload::KernelKind::Stream;
-    stream.footprint_bytes = 8 * 1024;
-    stream.stride_words = 1;
-    stream.seed = 5;
-    workload::KernelSpec chase;
-    chase.kind = workload::KernelKind::Chase;
-    chase.footprint_bytes = 256 * 1024;
-    chase.inner_iters = 4000;
-    chase.ilp = 0;
-    chase.seed = 6;
-    w.instances = {{"stream", stream}, {"chase", chase}};
-    w.blocks = {{{{"stream", ops_per_phase}, {"chase", ops_per_phase}},
-                 rounds}};
-    return workload::buildProgram(w, 1.0);
-}
-
 } // namespace pgss::test
 
 #endif // PGSS_TESTS_HELPERS_HH

@@ -46,59 +46,6 @@ TEST(MainMemory, SetWordsRestoresImage)
     EXPECT_EQ(m.read(24), 4u);
 }
 
-TEST(MainMemoryDirty, FreshMemoryIsAllDirty)
-{
-    // Before the first checkpoint there is no baseline, so every page
-    // must be considered written.
-    MainMemory m(3 * MainMemory::page_words * 8);
-    EXPECT_EQ(m.numPages(), 3u);
-    EXPECT_EQ(m.dirtyPageList(),
-              (std::vector<std::uint32_t>{0, 1, 2}));
-}
-
-TEST(MainMemoryDirty, WriteMarksExactlyItsPage)
-{
-    MainMemory m(4 * MainMemory::page_words * 8);
-    m.clearPageDirty();
-    EXPECT_TRUE(m.dirtyPageList().empty());
-
-    // One store in page 2, one in page 0 — ascending list, no other
-    // pages.
-    m.write(2 * MainMemory::page_words * 8 + 16, 7);
-    m.write(8, 9);
-    EXPECT_EQ(m.dirtyPageList(), (std::vector<std::uint32_t>{0, 2}));
-
-    m.clearPageDirty();
-    EXPECT_TRUE(m.dirtyPageList().empty());
-}
-
-TEST(MainMemoryDirty, SetWordsMarksEverythingDirty)
-{
-    MainMemory m(2 * MainMemory::page_words * 8);
-    m.clearPageDirty();
-    std::vector<std::uint64_t> image(m.words().size(), 3);
-    m.setWords(std::move(image));
-    EXPECT_EQ(m.dirtyPageList(), (std::vector<std::uint32_t>{0, 1}));
-}
-
-TEST(MainMemoryDirty, LastPageMayBePartial)
-{
-    // One full page plus 24 words.
-    MainMemory m((MainMemory::page_words + 24) * 8);
-    EXPECT_EQ(m.numPages(), 2u);
-    EXPECT_EQ(m.pageWordCount(0), MainMemory::page_words);
-    EXPECT_EQ(m.pageWordCount(1), 24u);
-}
-
-TEST(MainMemoryDirty, ReadsDoNotDirty)
-{
-    MainMemory m(2 * MainMemory::page_words * 8);
-    m.clearPageDirty();
-    (void)m.read(0);
-    (void)m.read(MainMemory::page_words * 8);
-    EXPECT_TRUE(m.dirtyPageList().empty());
-}
-
 TEST(MainMemoryDeathTest, UnalignedReadPanics)
 {
     MainMemory m(64);

@@ -17,20 +17,60 @@ TEST(Checkpoint, RestoreReplaysIdenticalExecution)
     const sim::Checkpoint ckpt = e.checkpoint();
     EXPECT_EQ(ckpt.retired(), 150'000u);
 
-    // Continue 50k ops, snapshot the architectural state.
+    // Continue 50k ops and snapshot the whole state.
     e.run(50'000, SimMode::FunctionalWarm);
-    std::array<std::uint64_t, isa::num_regs> regs_a{};
-    for (int r = 0; r < isa::num_regs; ++r)
-        regs_a[r] = e.core().reg(r);
-    const std::uint64_t pc_a = e.core().pc();
+    const sim::Checkpoint continuous = e.checkpoint();
+    EXPECT_FALSE(continuous == ckpt);
 
-    // Rewind and replay.
+    // Rewind and replay: registers, pc, memory, the caches with their
+    // LRU stamps, the predictor and the BTB all come out identical.
     e.restore(ckpt);
     EXPECT_EQ(e.totalOps(), 150'000u);
+    EXPECT_TRUE(e.checkpoint() == ckpt);
     e.run(50'000, SimMode::FunctionalWarm);
-    for (int r = 0; r < isa::num_regs; ++r)
-        EXPECT_EQ(e.core().reg(r), regs_a[r]) << "reg " << r;
-    EXPECT_EQ(e.core().pc(), pc_a);
+    EXPECT_TRUE(e.checkpoint() == continuous);
+}
+
+TEST(Checkpoint, RestoreAfterStoresReplaysIdentically)
+{
+    // A streaming read-modify-write over an 8 KiB array alternating
+    // with a pointer chase: every stream phase rewrites memory, so
+    // each restore below must undo stores, not only registers.
+    workload::WorkloadSpec w;
+    w.name = "store-stream";
+    workload::KernelSpec stream;
+    stream.kind = workload::KernelKind::Stream;
+    stream.footprint_bytes = 8 * 1024;
+    stream.stride_words = 1;
+    stream.seed = 5;
+    workload::KernelSpec chase;
+    chase.kind = workload::KernelKind::Chase;
+    chase.footprint_bytes = 256 * 1024;
+    chase.inner_iters = 4000;
+    chase.ilp = 0;
+    chase.seed = 6;
+    w.instances = {{"stream", stream}, {"chase", chase}};
+    w.blocks = {{{{"stream", 50'000.0}, {"chase", 50'000.0}}, 3}};
+    auto built = workload::buildProgram(w, 1.0);
+
+    sim::SimulationEngine e(built.program);
+    e.run(50'000, SimMode::FunctionalWarm);
+    const sim::Checkpoint early = e.checkpoint();
+    e.run(30'000, SimMode::FunctionalWarm);
+    const sim::Checkpoint late = e.checkpoint();
+    EXPECT_FALSE(late == early);
+    e.run(20'000, SimMode::FunctionalWarm);
+    const sim::Checkpoint end = e.checkpoint();
+
+    // Rewind past both snapshots, replay up to the later one, then
+    // restore that one and replay to the end of the continuous run.
+    e.restore(early);
+    e.run(30'000, SimMode::FunctionalWarm);
+    EXPECT_TRUE(e.checkpoint() == late);
+    e.restore(late);
+    EXPECT_EQ(e.totalOps(), 80'000u);
+    e.run(20'000, SimMode::FunctionalWarm);
+    EXPECT_TRUE(e.checkpoint() == end);
 }
 
 TEST(Checkpoint, RestoredMeasurementMatchesContinuous)
@@ -59,47 +99,6 @@ TEST(Checkpoint, RestoredMeasurementMatchesContinuous)
     EXPECT_EQ(replay.cycles, direct.cycles);
 }
 
-TEST(Checkpoint, SerializeDeserializeRoundTrip)
-{
-    auto built = test::twoPhaseWorkload(60'000.0, 1);
-    sim::SimulationEngine e(built.program);
-    e.run(40'000, SimMode::FunctionalWarm);
-    const sim::Checkpoint ckpt = e.checkpoint();
-
-    const std::vector<std::uint8_t> bytes = ckpt.serialize();
-    ASSERT_FALSE(bytes.empty());
-    bool ok = false;
-    const sim::Checkpoint back = sim::Checkpoint::deserialize(bytes, ok);
-    ASSERT_TRUE(ok);
-    EXPECT_EQ(back.retired(), ckpt.retired());
-
-    // The deserialized checkpoint restores and continues identically.
-    e.run(30'000, SimMode::FunctionalWarm);
-    const std::uint64_t reg5_after = e.core().reg(5);
-    e.restore(back);
-    e.run(30'000, SimMode::FunctionalWarm);
-    EXPECT_EQ(e.core().reg(5), reg5_after);
-}
-
-TEST(Checkpoint, DeserializeRejectsGarbage)
-{
-    bool ok = true;
-    sim::Checkpoint::deserialize({1, 2, 3, 4, 5}, ok);
-    EXPECT_FALSE(ok);
-}
-
-TEST(Checkpoint, DeserializeRejectsTruncation)
-{
-    auto built = test::twoPhaseWorkload(30'000.0, 1);
-    sim::SimulationEngine e(built.program);
-    e.run(10'000, SimMode::FunctionalWarm);
-    auto bytes = e.checkpoint().serialize();
-    bytes.resize(bytes.size() / 2);
-    bool ok = true;
-    sim::Checkpoint::deserialize(bytes, ok);
-    EXPECT_FALSE(ok);
-}
-
 TEST(CheckpointDeathTest, RestoreAcrossProgramsPanics)
 {
     auto a = test::twoPhaseWorkload(30'000.0, 1);
@@ -109,135 +108,4 @@ TEST(CheckpointDeathTest, RestoreAcrossProgramsPanics)
     ea.run(1'000, SimMode::FunctionalFast);
     const sim::Checkpoint ckpt = ea.checkpoint();
     EXPECT_DEATH(eb.restore(ckpt), "different program");
-}
-
-TEST(CheckpointDelta, ResolvesBitIdenticalToFull)
-{
-    auto built = test::storingWorkload();
-    sim::SimulationEngine e(built.program);
-    e.run(60'000, SimMode::FunctionalWarm);
-    sim::Checkpoint base = e.checkpoint();
-    EXPECT_FALSE(base.isDelta());
-
-    // Run through a stream phase, which rewrites its footprint — the
-    // delta must pick up those written pages.
-    e.run(50'000, SimMode::FunctionalWarm);
-    const sim::Checkpoint delta = e.checkpointDelta();
-    EXPECT_TRUE(delta.isDelta());
-    EXPECT_GT(delta.deltaPageCount(), 0u);
-
-    // A full checkpoint taken at the same position is the reference;
-    // base + delta must resolve to exactly those bytes.
-    const sim::Checkpoint ref = e.checkpoint();
-    sim::Checkpoint::applyDelta(base, delta);
-    EXPECT_FALSE(base.isDelta());
-    EXPECT_EQ(base.serialize(), ref.serialize());
-}
-
-TEST(CheckpointDelta, ChainedDeltasResolveInOrder)
-{
-    auto built = test::storingWorkload();
-    sim::SimulationEngine e(built.program);
-    e.run(30'000, SimMode::FunctionalWarm);
-    sim::Checkpoint state = e.checkpoint();
-
-    std::vector<sim::Checkpoint> deltas;
-    for (int i = 0; i < 3; ++i) {
-        e.run(25'000, SimMode::FunctionalWarm);
-        deltas.push_back(e.checkpointDelta());
-    }
-    const sim::Checkpoint ref = e.checkpoint();
-
-    for (const sim::Checkpoint &d : deltas)
-        sim::Checkpoint::applyDelta(state, d);
-    EXPECT_EQ(state.serialize(), ref.serialize());
-    EXPECT_EQ(state.retired(), e.totalOps());
-}
-
-TEST(CheckpointDelta, RestoreAfterResolveReplaysIdentically)
-{
-    // Resolve base+delta, restore to the delta's position, and re-run
-    // the same distance: the end state must be bit-identical to the
-    // uninterrupted run.
-    auto built = test::storingWorkload();
-    sim::SimulationEngine e(built.program);
-    e.run(50'000, SimMode::FunctionalWarm);
-    sim::Checkpoint base = e.checkpoint();
-    e.run(30'000, SimMode::FunctionalWarm);
-    const sim::Checkpoint delta = e.checkpointDelta();
-
-    e.run(20'000, SimMode::FunctionalWarm);
-    const std::vector<std::uint8_t> after = e.checkpoint().serialize();
-
-    sim::Checkpoint::applyDelta(base, delta);
-    e.restore(base);
-    EXPECT_EQ(e.totalOps(), 80'000u);
-    e.run(20'000, SimMode::FunctionalWarm);
-    EXPECT_EQ(e.checkpoint().serialize(), after);
-}
-
-TEST(CheckpointDelta, SerializeRoundTripPreservesDelta)
-{
-    auto built = test::storingWorkload();
-    sim::SimulationEngine e(built.program);
-    e.run(20'000, SimMode::FunctionalWarm);
-    sim::Checkpoint base = e.checkpoint();
-    e.run(15'000, SimMode::FunctionalWarm);
-    const sim::Checkpoint delta = e.checkpointDelta();
-
-    bool ok = false;
-    const sim::Checkpoint back =
-        sim::Checkpoint::deserialize(delta.serialize(), ok);
-    ASSERT_TRUE(ok);
-    EXPECT_TRUE(back.isDelta());
-    EXPECT_EQ(back.deltaPageCount(), delta.deltaPageCount());
-    EXPECT_EQ(back.serialize(), delta.serialize());
-
-    const sim::Checkpoint ref = e.checkpoint();
-    sim::Checkpoint::applyDelta(base, back);
-    EXPECT_EQ(base.serialize(), ref.serialize());
-}
-
-TEST(CheckpointDelta, DeltaIsSmallerThanFullForSparseWrites)
-{
-    // The stream phase rewrites only its 8 KiB footprint; the 256 KiB
-    // chase image stays untouched, so the delta must carry far fewer
-    // memory words than the full image.
-    auto built = test::storingWorkload();
-    sim::SimulationEngine e(built.program);
-    e.run(100'000, SimMode::FunctionalWarm);
-    const sim::Checkpoint full = e.checkpoint();
-    e.run(20'000, SimMode::FunctionalWarm);
-    const sim::Checkpoint delta = e.checkpointDelta();
-    EXPECT_GT(delta.deltaPageCount(), 0u);
-    EXPECT_LT(delta.serialize().size(), full.serialize().size());
-}
-
-TEST(CheckpointDeltaDeathTest, DirectRestorePanics)
-{
-    auto built = test::storingWorkload();
-    sim::SimulationEngine e(built.program);
-    e.run(5'000, SimMode::FunctionalWarm);
-    e.checkpoint(); // set the dirty baseline
-    e.run(5'000, SimMode::FunctionalWarm);
-    const sim::Checkpoint delta = e.checkpointDelta();
-    EXPECT_DEATH(e.restore(delta), "delta");
-}
-
-TEST(CheckpointDeltaDeathTest, ApplyDeltaRejectsWrongKinds)
-{
-    auto built = test::twoPhaseWorkload(30'000.0, 1);
-    sim::SimulationEngine e(built.program);
-    e.run(5'000, SimMode::FunctionalWarm);
-    sim::Checkpoint full_a = e.checkpoint();
-    const sim::Checkpoint full_b = e.checkpoint();
-    e.run(5'000, SimMode::FunctionalWarm);
-    sim::Checkpoint delta = e.checkpointDelta();
-
-    EXPECT_DEATH(
-        sim::Checkpoint::applyDelta(full_a, full_b),
-        "delta must be a delta checkpoint");
-    EXPECT_DEATH(
-        sim::Checkpoint::applyDelta(delta, delta),
-        "base must be a full checkpoint");
 }
