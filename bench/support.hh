@@ -33,20 +33,18 @@ struct Entry
 
 /**
  * Observability plumbing shared by every bench: parse and strip the
- * obs flags (--stats-json= / --timelines / --timeline-interval= /
- * --timeline-out= / --profile / --profile-out=, see
- * obs::parseObsFlags), install the timeline recorder and span
- * profiler, register the abnormal-exit flush handlers, and stamp the
- * report with the figure id and workload scale. Call first thing in
- * main().
+ * obs flags (--stats-json= / --timelines / --profile /
+ * --profile-out=, see obs::parseObsFlags), install the timeline
+ * recorder and span profiler, register the abnormal-exit flush
+ * handlers, and stamp the report with the figure id and workload
+ * scale. Call first thing in main().
  */
 void init(int &argc, char **argv, const std::string &figure_id);
 
 /**
- * Write the outputs the obs flags requested: the run report (stats
- * registered into obs::registry(), plus the profile and timelines
- * sections when on), the timeline CSV and the Perfetto trace. Call
- * last in main().
+ * Write the outputs the obs flags requested: the run report (the
+ * fi.* and robust.* stats, plus the profile and timelines sections
+ * when on) and the Perfetto trace. Call last in main().
  */
 void finish();
 

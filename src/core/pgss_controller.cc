@@ -65,8 +65,9 @@ PgssController::run(sim::SimulationEngine &engine)
     // Each controller run is one named timeline run: the period-by-
     // period phase classifications and, per phase, the CI-convergence
     // curve (one point per credited sample).
-    if (obs::TimelineRecorder *tl = obs::timelines())
-        tl->beginRun("pgss");
+    obs::TimelineRecorder *tl = obs::timelines();
+    const obs::TimelineHandle tl_run =
+        tl ? tl->beginRun("pgss") : obs::TimelineHandle{};
 
     const std::uint64_t win =
         config_.detailed_warmup + config_.detailed_sample;
@@ -130,9 +131,8 @@ PgssController::run(sim::SimulationEngine &engine)
             ++counters_.phases;
         if (match.changed)
             ++counters_.phase_changes;
-        obs::TimelineRecorder *tl = obs::timelines();
         if (tl)
-            tl->recordPhase(engine.totalOps(), match.phase_id);
+            tl->recordPhase(tl_run, engine.totalOps(), match.phase_id);
 
         // The sample inside this period is credited to the phase the
         // period was classified as.
@@ -158,7 +158,8 @@ PgssController::run(sim::SimulationEngine &engine)
                 phase.cpi(), config_.confidence);
             const double ci_rel =
                 mean != 0.0 ? hw / std::abs(mean) : hw;
-            tl->recordConvergence(phase.id(), engine.totalOps(),
+            tl->recordConvergence(tl_run, phase.id(),
+                                  engine.totalOps(),
                                   phase.sampleCount(), mean, ci_rel,
                                   converged);
         }
@@ -175,7 +176,7 @@ PgssController::run(sim::SimulationEngine &engine)
             ++counters_.threshold_adjustments;
             counters_.threshold = adaptive.threshold();
             if (tl)
-                tl->recordThreshold(engine.totalOps(),
+                tl->recordThreshold(tl_run, engine.totalOps(),
                                     adaptive.threshold());
         }
     }

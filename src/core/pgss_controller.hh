@@ -70,10 +70,10 @@ struct PgssResult
 };
 
 /**
- * Counters a controller updates as it runs, so registered stats (and
- * the timeline recorder's counter snapshots) see sampling progress
- * without waiting for the PgssResult. Accumulates across run() calls
- * on the same controller.
+ * Counters a controller updates as it runs, so the stats
+ * registerStats() exposes read sampling progress without waiting for
+ * the PgssResult. Accumulates across run() calls on the same
+ * controller.
  */
 struct ControllerCounters
 {

@@ -208,10 +208,10 @@ checkAligned(const JsonValue &obj, const char *what,
 
 void
 checkMonotonic(const std::vector<std::uint64_t> &ops,
-               const std::string &ctx, bool strict, CheckResult &res)
+               const std::string &ctx, CheckResult &res)
 {
     for (std::size_t i = 1; i < ops.size(); ++i) {
-        if (ops[i] < ops[i - 1] || (strict && ops[i] == ops[i - 1])) {
+        if (ops[i] < ops[i - 1]) {
             res.violations.push_back(
                 ctx + ": op axis not monotonic at index " +
                 std::to_string(i) + " (" + std::to_string(ops[i - 1]) +
@@ -313,24 +313,7 @@ renderTimelines(std::ostream &os, const LoadedReport &report)
     }
 
     const JsonValue *tlv = tl->get("schema_version");
-    const JsonValue *gops = tl->get("global_ops");
-    const JsonValue *stride = tl->get("interval_ops");
-    os << "timelines (schema v" << (tlv ? tlv->asUint() : 0) << ", "
-       << (gops ? gops->asUint() : 0) << " ops, snapshot stride "
-       << (stride ? stride->asUint() : 0) << ")\n";
-
-    if (const JsonValue *counters = tl->get("counters")) {
-        const std::vector<std::uint64_t> ops = opAxis(*counters);
-        const JsonValue *series = counters->get("series");
-        if (!ops.empty() && series) {
-            os << "  counter snapshots: " << ops.size()
-               << " rows x " << series->object.size()
-               << " series  [";
-            for (std::size_t i = 0; i < series->object.size(); ++i)
-                os << (i ? ", " : "") << series->object[i].first;
-            os << "]\n";
-        }
-    }
+    os << "timelines (schema v" << (tlv ? tlv->asUint() : 0) << ")\n";
 
     const JsonValue *runs = tl->get("runs");
     if (!runs || runs->array.empty()) {
@@ -721,20 +704,6 @@ checkReport(const LoadedReport &report)
     if (!tlv || tlv->asUint() < 1)
         res.violations.push_back("timelines: missing schema_version");
 
-    if (const JsonValue *counters = tl->get("counters")) {
-        const std::vector<std::uint64_t> ops = opAxis(*counters);
-        checkMonotonic(ops, "timelines.counters", /*strict=*/true,
-                       res);
-        if (const JsonValue *series = counters->get("series"))
-            for (const auto &[name, arr] : series->object)
-                if (arr.array.size() != ops.size())
-                    res.violations.push_back(
-                        "timelines.counters." + name + ": " +
-                        std::to_string(arr.array.size()) +
-                        " points, op axis has " +
-                        std::to_string(ops.size()));
-    }
-
     if (const JsonValue *runs = tl->get("runs")) {
         for (std::size_t r = 0; r < runs->array.size(); ++r) {
             const JsonValue &run = runs->array[r];
@@ -742,15 +711,13 @@ checkReport(const LoadedReport &report)
                 "timelines.runs[" + std::to_string(r) + "]";
             if (const JsonValue *pt = run.get("phase_timeline")) {
                 const std::vector<std::uint64_t> ops = opAxis(*pt);
-                checkMonotonic(ops, ctx + ".phase_timeline",
-                               /*strict=*/false, res);
+                checkMonotonic(ops, ctx + ".phase_timeline", res);
                 checkAligned(*pt, "phase", ops.size(),
                              ctx + ".phase_timeline", res);
             }
             if (const JsonValue *th = run.get("threshold")) {
                 const std::vector<std::uint64_t> ops = opAxis(*th);
-                checkMonotonic(ops, ctx + ".threshold",
-                               /*strict=*/false, res);
+                checkMonotonic(ops, ctx + ".threshold", res);
                 checkAligned(*th, "radians", ops.size(),
                              ctx + ".threshold", res);
             }
@@ -760,7 +727,7 @@ checkReport(const LoadedReport &report)
                         ctx + ".convergence." + phase_id;
                     const std::vector<std::uint64_t> ops =
                         opAxis(curve);
-                    checkMonotonic(ops, cctx, /*strict=*/false, res);
+                    checkMonotonic(ops, cctx, res);
                     for (const char *arr :
                          {"samples", "mean", "ci_rel", "closed"})
                         checkAligned(curve, arr, ops.size(), cctx,

@@ -22,15 +22,14 @@ namespace pgss::obs
 namespace
 {
 
-// All report-artifact writes (run report JSON, timeline CSV, Perfetto
-// trace) share the "report.*" fault sites.
+// Both report artifacts (run report JSON, Perfetto trace) share the
+// "report.*" fault sites.
 util::FileSites report_sites("report");
 
 struct ReportState
 {
     std::string program = "unknown";
     std::string stats_json_path;
-    std::string timeline_csv_path;
     std::string profile_out_path;
     bool partial = false; ///< report written by the abnormal-exit path
     std::vector<std::pair<std::string, std::string>> meta_str;
@@ -60,18 +59,16 @@ flagValue(const char *arg, const char *flag)
     return nullptr;
 }
 
+/**
+ * Write one report artifact. Atomic replace: a reader (or a crash
+ * mid-write) never sees a half-written file, and a previous complete
+ * one survives a failed write.
+ */
 bool
-writeReportFile()
+writeArtifact(const std::string &path, const std::string &text)
 {
-    const std::string &path = state().stats_json_path;
-    if (path.empty())
-        return true;
-    // Atomic replace: a reader (or a crash mid-write) never sees a
-    // half-written report, and a previous complete report survives a
-    // failed write.
     util::AtomicFileWriter out(path, &report_sites);
-    out.write(reportJsonString());
-    out.write("\n");
+    out.write(text);
     std::string err;
     if (!out.commit(&err)) {
         ++util::fi::counter("report.write_failed");
@@ -82,6 +79,13 @@ writeReportFile()
     util::inform("report: wrote %s%s", path.c_str(),
                  state().partial ? " (partial)" : "");
     return true;
+}
+
+bool
+writeReportFile()
+{
+    const std::string &path = state().stats_json_path;
+    return path.empty() || writeArtifact(path, reportJsonString() + "\n");
 }
 
 bool
@@ -97,50 +101,13 @@ writeProfileTrace()
     }
     std::ostringstream doc;
     prof->writeTraceEventJson(doc);
-    util::AtomicFileWriter out(path, &report_sites);
-    out.write(doc.str());
-    std::string err;
-    if (!out.commit(&err)) {
-        ++util::fi::counter("report.write_failed");
-        util::warn("report: cannot write '%s' (%s)", path.c_str(),
-                   err.c_str());
-        return false;
-    }
-    util::inform("report: wrote %s%s", path.c_str(),
-                 state().partial ? " (partial)" : "");
-    return true;
-}
-
-bool
-writeTimelineCsv()
-{
-    const std::string &path = state().timeline_csv_path;
-    if (path.empty())
-        return true;
-    const TimelineRecorder *rec = timelines();
-    if (!rec) {
-        util::warn("report: --timeline-out set but no recorder");
-        return false;
-    }
-    std::ostringstream doc;
-    rec->writeCsv(doc);
-    util::AtomicFileWriter out(path, &report_sites);
-    out.write(doc.str());
-    std::string err;
-    if (!out.commit(&err)) {
-        ++util::fi::counter("report.write_failed");
-        util::warn("report: cannot write '%s' (%s)", path.c_str(),
-                   err.c_str());
-        return false;
-    }
-    util::inform("report: wrote %s", path.c_str());
-    return true;
+    return writeArtifact(path, doc.str());
 }
 
 /**
  * Best-effort flush on abnormal exit: write the report (marked
- * partial), timeline CSV and Perfetto trace. Called from std::atexit
- * and from the SIGINT/SIGTERM handler; the handler path is technically not
+ * partial) and the Perfetto trace. Called from std::atexit and from
+ * the SIGINT/SIGTERM handler; the handler path is technically not
  * async-signal-safe (it allocates and does stdio), which is the
  * accepted trade for getting diagnostics out of an interrupted run —
  * the alternative is losing them, and the process is about to die
@@ -159,7 +126,6 @@ emergencyFlush(const char *why)
     // reads are best-effort — workers may still be running — which
     // is the same trade the rest of this path accepts.
     writeReportFile();
-    writeTimelineCsv();
     writeProfileTrace();
 }
 
@@ -210,27 +176,18 @@ parseObsFlags(int &argc, char **argv)
 {
     ObsFlags flags;
     flags.stats_json = util::envString("PGSS_STATS_JSON", "");
-    flags.timeline_out = util::envString("PGSS_TIMELINE_OUT", "");
     flags.profile_out = util::envString("PGSS_PROFILE_OUT", "");
     flags.timelines =
         util::envString("PGSS_TIMELINES", "") == "1";
     flags.profile = util::envString("PGSS_PROFILE", "") == "1";
-    flags.timeline_interval = static_cast<std::uint64_t>(
-        util::envDouble("PGSS_TIMELINE_INTERVAL", 0.0));
 
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         if (const char *v = flagValue(argv[i], "--stats-json")) {
             flags.stats_json = v;
         } else if (const char *v2 =
-                       flagValue(argv[i], "--timeline-out")) {
-            flags.timeline_out = v2;
-        } else if (const char *v3 =
-                       flagValue(argv[i], "--timeline-interval")) {
-            flags.timeline_interval = std::strtoull(v3, nullptr, 10);
-        } else if (const char *v4 =
                        flagValue(argv[i], "--profile-out")) {
-            flags.profile_out = v4;
+            flags.profile_out = v2;
         } else if (std::strcmp(argv[i], "--timelines") == 0) {
             flags.timelines = true;
         } else if (std::strcmp(argv[i], "--profile") == 0) {
@@ -242,8 +199,6 @@ parseObsFlags(int &argc, char **argv)
     argc = out;
     argv[argc] = nullptr;
 
-    if (!flags.timeline_out.empty() || flags.timeline_interval > 0)
-        flags.timelines = true;
     if (!flags.profile_out.empty())
         flags.profile = true;
     return flags;
@@ -253,15 +208,9 @@ void
 applyObsFlags(const ObsFlags &flags)
 {
     state().stats_json_path = flags.stats_json;
-    state().timeline_csv_path = flags.timeline_out;
     state().profile_out_path = flags.profile_out;
-    if (flags.timelines) {
-        TimelineConfig cfg;
-        if (flags.timeline_interval > 0)
-            cfg.interval_ops = flags.timeline_interval;
-        setTimelineRecorder(
-            std::make_unique<TimelineRecorder>(cfg));
-    }
+    if (flags.timelines)
+        setTimelineRecorder(std::make_unique<TimelineRecorder>());
     if (flags.profile)
         setSpanProfiler(std::make_unique<SpanProfiler>());
 }
@@ -398,21 +347,14 @@ finalize()
 {
     g_finalized.store(true);
     const bool report_ok = writeReportFile();
-    const bool csv_ok = writeTimelineCsv();
     const bool prof_ok = writeProfileTrace();
-    return report_ok && csv_ok && prof_ok;
+    return report_ok && prof_ok;
 }
 
 const std::string &
 statsJsonPath()
 {
     return state().stats_json_path;
-}
-
-const std::string &
-timelineCsvPath()
-{
-    return state().timeline_csv_path;
 }
 
 const std::string &

@@ -20,12 +20,8 @@
  *   --stats-json=<path>        (PGSS_STATS_JSON)        write the
  *                              report on finalize()
  *   --timelines                (PGSS_TIMELINES=1)       enable the
- *                              timeline recorder at the default
- *                              snapshot stride
- *   --timeline-interval=<ops>  (PGSS_TIMELINE_INTERVAL) enable it at
- *                              the given stride
- *   --timeline-out=<path>      (PGSS_TIMELINE_OUT)      enable it and
- *                              also write the timelines as CSV
+ *                              timeline recorder; adds the
+ *                              "timelines" report section
  *   --profile                  (PGSS_PROFILE=1)         enable the
  *                              span profiler; adds the "profile"
  *                              report section
@@ -38,8 +34,8 @@
  * flags it consumes from argv so positional argument parsing in the
  * binaries keeps working, installs the requested sinks, and registers
  * the abnormal-exit handlers (std::atexit plus SIGINT/SIGTERM) that
- * write a partial run report, timeline CSV and Perfetto trace, so an
- * interrupted long run still yields usable observability data.
+ * write a partial run report and Perfetto trace, so an interrupted
+ * long run still yields usable observability data.
  */
 
 #ifndef PGSS_OBS_REPORT_HH
@@ -73,14 +69,11 @@ StatsRegistry &registry();
 /** Everything the shared observability flags can request. */
 struct ObsFlags
 {
-    std::string stats_json;   ///< run-report path ("" = off)
-    std::string timeline_out; ///< timeline CSV path ("" = no CSV)
-    std::string profile_out;  ///< trace_event JSON path ("" = none)
-    bool timelines = false;   ///< record timelines (implied by the
-                              ///< other timeline flags)
-    bool profile = false;     ///< record spans (implied by
-                              ///< profile_out)
-    std::uint64_t timeline_interval = 0; ///< snapshot stride (0 = default)
+    std::string stats_json;  ///< run-report path ("" = off)
+    std::string profile_out; ///< trace_event JSON path ("" = none)
+    bool timelines = false;  ///< record timelines
+    bool profile = false;    ///< record spans (implied by
+                             ///< profile_out)
 };
 
 /**
@@ -93,7 +86,7 @@ ObsFlags parseObsFlags(int &argc, char **argv);
 
 /**
  * Install what @p flags request: the timeline recorder, the span
- * profiler, and the report/CSV/trace output paths consumed by
+ * profiler, and the report/trace output paths consumed by
  * finalize().
  */
 void applyObsFlags(const ObsFlags &flags);
@@ -127,19 +120,15 @@ void setReportMeta(const std::string &key, double value);
 std::string reportJsonString();
 
 /**
- * Write the run report, timeline CSV and Perfetto trace that
- * --stats-json/--timeline-out/--profile-out requested. Call once at the end
- * of main(), while every component registered into registry() is
- * still alive. @return false when a requested output could not be
- * written.
+ * Write the run report and Perfetto trace that
+ * --stats-json/--profile-out requested. Call once at the end of
+ * main(), while every component registered into registry() is still
+ * alive. @return false when a requested output could not be written.
  */
 bool finalize();
 
 /** Path the report will be written to ("" when not requested). */
 const std::string &statsJsonPath();
-
-/** Path the timeline CSV will be written to ("" when not requested). */
-const std::string &timelineCsvPath();
 
 /** Path the Perfetto trace will be written to ("" when not requested). */
 const std::string &profileOutPath();

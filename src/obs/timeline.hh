@@ -1,49 +1,39 @@
 /**
  * @file
- * Time-series observability: bounded-memory timelines of what a run
- * did over simulated time, complementing the end-of-run aggregates of
- * the stats registry.
+ * Time-series observability: bounded-memory timelines of what each
+ * sampling run did over simulated time, complementing the end-of-run
+ * aggregates of the stats registry.
  *
- * Four kinds of series, all constant-memory for arbitrarily long
- * runs via stride-doubling downsampling (when a buffer fills, every
- * other retained point is dropped and the sampling stride doubles, so
- * retained points stay uniformly spaced and the memory bound is the
- * configured capacity):
+ * Three kinds of series per named run, all constant-memory for
+ * arbitrarily long runs via stride-doubling downsampling (when a
+ * buffer fills, every other retained point is dropped and the
+ * sampling stride doubles, so retained points stay uniformly spaced
+ * and the memory bound is the buffer's capacity):
  *
- *  - Counter snapshots: every `interval_ops` committed instructions
- *    (accumulated across every engine in the process), the recorder
- *    snapshots each Counter registered in the global stats registry
- *    onto one shared op axis.
- *  - Phase timeline: per named run, the sequence of (op, phase id)
- *    classifications a sampling controller made.
- *  - Convergence curves: per named run and phase, one point per
- *    credited sample — running sample count, mean, relative CI
- *    half-width, and open/closed state — the curve that shows each
- *    stratum's confidence interval closing over time.
- *  - Threshold moves: per named run, one (op, radians) point each
- *    time the adaptive threshold changes.
+ *  - Phase timeline: the sequence of (op, phase id) classifications
+ *    a sampling controller made.
+ *  - Convergence curves: per phase, one point per credited sample —
+ *    running sample count, mean, relative CI half-width, and
+ *    open/closed state — the curve that shows each stratum's
+ *    confidence interval closing over time.
+ *  - Threshold moves: one (op, radians) point each time the adaptive
+ *    threshold changes.
  *
- * Off by default: when no recorder is installed, the only cost is one
- * null-pointer branch per engine.run() chunk (per period, never per
- * instruction). Enabled, the cost is one registry walk per snapshot
- * interval and one struct append per classification, sample or
- * threshold move.
- *
- * Lifetime contract matches the stats registry: counter snapshots
- * call registered getters, so components registered into the global
- * registry must stay alive while a recorder is installed and engines
- * are running.
+ * Push-only: samplers record into the run handle beginRun() gave
+ * them, and the recorder reads nothing of the simulator. Off by
+ * default; when no recorder is installed a sampler makes one
+ * null-pointer check per period, and the engine none. Enabled, the
+ * cost is one struct append per classification, sample or threshold
+ * move.
  *
  * Serialized into the run report as the schema-versioned "timelines"
- * section and, with --timeline-out=, as long-format CSV (DESIGN.md
- * section 8.5). `tools/pgss_report` renders both.
+ * section (DESIGN.md section 8.5), which `tools/pgss_report` renders.
  */
 
 #ifndef PGSS_OBS_TIMELINE_HH
 #define PGSS_OBS_TIMELINE_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -53,23 +43,6 @@ namespace pgss::obs
 {
 
 class JsonWriter;
-class StatsRegistry;
-
-/** Tuning knobs; the defaults bound memory to a few hundred KiB. */
-struct TimelineConfig
-{
-    /**
-     * Committed ops between counter snapshots (initial stride; doubles
-     * whenever the snapshot table fills).
-     */
-    std::uint64_t interval_ops = 65'536;
-
-    std::size_t snapshot_capacity = 256; ///< rows in the snapshot table
-    std::size_t phase_capacity = 512;    ///< points per phase timeline
-    std::size_t curve_capacity = 128;    ///< points per convergence curve
-    std::size_t max_phases = 256;        ///< tracked phases per run
-    std::size_t max_runs = 64;           ///< named runs kept
-};
 
 /** One phase-timeline point: the period ending at @p op classified. */
 struct PhasePoint
@@ -166,12 +139,16 @@ class StridedSeries
  */
 struct TimelineRun
 {
+    static constexpr std::size_t phase_capacity = 512; ///< per timeline
+    static constexpr std::size_t curve_capacity = 128; ///< per curve
+    static constexpr std::size_t max_curves = 256;     ///< per run
+
     // Threshold moves happen at most once per period, so the phase
     // timeline's capacity bounds them too.
-    TimelineRun(std::string run_label, const TimelineConfig &config)
+    explicit TimelineRun(std::string run_label)
         : label(std::move(run_label)),
-          phase_timeline(config.phase_capacity),
-          threshold(config.phase_capacity)
+          phase_timeline(phase_capacity),
+          threshold(phase_capacity)
     {
     }
 
@@ -187,125 +164,73 @@ struct TimelineRun
     };
     std::vector<Curve> curves;
 
-    /** Curve points discarded because max_phases was reached. */
+    /** Curve points discarded because max_curves was reached. */
     std::uint64_t dropped_curve_points = 0;
 };
 
 /**
+ * A sampling run's slot in the recorder, returned by beginRun(). Each
+ * run records through its own handle, so runs on concurrent PGSS_JOBS
+ * workers never mix. A default handle, and the handle of a run past
+ * the run cap, discards its records.
+ */
+struct TimelineHandle
+{
+    static constexpr std::size_t discard = SIZE_MAX;
+    std::size_t index = discard; ///< into TimelineRecorder::runs()
+};
+
+/**
  * The process-wide time-series recorder. Install with
- * setTimelineRecorder(); every hook is a no-op free when the global
- * recorder is absent (callers null-check timelines()).
+ * setTimelineRecorder(); samplers null-check timelines() once per run
+ * and record nothing when it is absent.
  *
- * Thread safety: the hooks (advance(), beginRun(), recordPhase(),
- * recordConvergence(), recordThreshold()) serialize on an internal
- * mutex, so engines on worker threads cannot corrupt the recorder.
- * Counter snapshots pull live getters, however, so values read from
- * engines running on other threads are approximate; and runs started
- * concurrently interleave into one sequence. Parallel benches should
- * prefer recording timelines only on serial runs.
+ * Thread safety: beginRun() and the record calls serialize on an
+ * internal mutex, and each run records through its own handle, so
+ * samplers on worker threads may record concurrently. Which runs fill
+ * the max_runs slots depends on the order runs begin in.
  */
 class TimelineRecorder
 {
   public:
     /** Schema version of the "timelines" report section. */
-    static constexpr std::uint32_t schema_version = 1;
+    static constexpr std::uint32_t schema_version = 2;
 
-    explicit TimelineRecorder(const TimelineConfig &config = {});
-
-    const TimelineConfig &config() const { return config_; }
-
-    // ---- Hot-path hook -------------------------------------------
-    /**
-     * Account @p ops_executed committed instructions (called by the
-     * engine once per run() chunk) and snapshot every registered
-     * counter when the accumulated position crosses the next snapshot
-     * boundary.
-     */
-    void advance(std::uint64_t ops_executed);
-
-    // ---- Sampler hooks -------------------------------------------
-    /**
-     * Start a new named run; subsequent recordPhase()/
-     * recordConvergence()/recordThreshold() calls land in it. Beyond
-     * max_runs the run is counted as dropped and its records
-     * discarded.
-     */
-    void beginRun(const std::string &label);
-
-    /** Record one period classification of the current run. */
-    void recordPhase(std::uint64_t op, std::uint32_t phase);
-
-    /** Record one credited sample of the current run. */
-    void recordConvergence(std::uint32_t phase, std::uint64_t op,
-                           std::uint64_t samples, double mean,
-                           double ci_rel, bool closed);
-
-    /** Record one adaptive-threshold move of the current run. */
-    void recordThreshold(std::uint64_t op, double radians);
-
-    // ---- Introspection (tests, report assembly) ------------------
-    /** Current snapshot stride in ops (doubles on compaction). */
-    std::uint64_t intervalOps() const { return interval_; }
-
-    /** Committed ops accumulated across every engine. */
-    std::uint64_t globalOps() const { return global_ops_; }
-
-    /** Times the snapshot table compacted (stride doublings). */
-    std::uint64_t snapshotCompactions() const { return compactions_; }
-
-    /** The shared snapshot op axis. */
-    const std::vector<std::uint64_t> &snapshotOps() const
-    {
-        return ops_;
-    }
-
-    /** Names of every counter series discovered so far. */
-    std::vector<std::string> seriesNames() const;
+    static constexpr std::size_t max_runs = 64; ///< named runs kept
 
     /**
-     * Values of series @p name aligned to snapshotOps(); NaN before
-     * the series was first discovered. Empty when unknown.
+     * Start a new named run and return its handle. Beyond max_runs
+     * the run is counted as dropped and its handle discards records.
      */
-    std::vector<double> series(const std::string &name) const;
+    TimelineHandle beginRun(const std::string &label);
 
+    /** Record one period classification of run @p run. */
+    void recordPhase(TimelineHandle run, std::uint64_t op,
+                     std::uint32_t phase);
+
+    /** Record one credited sample of run @p run. */
+    void recordConvergence(TimelineHandle run, std::uint32_t phase,
+                           std::uint64_t op, std::uint64_t samples,
+                           double mean, double ci_rel, bool closed);
+
+    /** Record one adaptive-threshold move of run @p run. */
+    void recordThreshold(TimelineHandle run, std::uint64_t op,
+                         double radians);
+
+    /** Every kept run; read once the recording threads are done. */
     const std::vector<TimelineRun> &runs() const { return runs_; }
     std::uint64_t droppedRuns() const { return dropped_runs_; }
 
-    // ---- Emission ------------------------------------------------
     /** Serialize as a keyed "timelines" object into @p w. */
     void dumpJson(JsonWriter &w) const;
 
-    /**
-     * Long-format CSV: kind,run,key,op,value,samples,ci_rel,closed —
-     * counter snapshots, phase timelines, convergence curves and
-     * threshold moves in one table (DESIGN.md section 8.5).
-     */
-    void writeCsv(std::ostream &os) const;
-
   private:
-    struct SnapshotSeries
-    {
-        std::string name;
-        std::vector<double> values; ///< aligned to ops_, NaN-padded
-    };
-
-    void takeSnapshot();
-    void compactSnapshots();
-    TimelineRun *currentRun();
+    /** The run @p run names, or nullptr when it discards. */
+    TimelineRun *find(TimelineHandle run);
 
     mutable std::mutex mutex_;
-    TimelineConfig config_;
-    std::uint64_t interval_;
-    std::uint64_t global_ops_ = 0;
-    std::uint64_t next_due_;
-    std::uint64_t compactions_ = 0;
-
-    std::vector<std::uint64_t> ops_;
-    std::vector<SnapshotSeries> series_;
-
     std::vector<TimelineRun> runs_;
     std::uint64_t dropped_runs_ = 0;
-    bool dropping_current_ = false; ///< current run is over max_runs
 };
 
 /** The process-wide recorder, or nullptr when timelines are off. */

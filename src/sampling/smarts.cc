@@ -22,8 +22,8 @@ runSmarts(sim::SimulationEngine &engine, const SmartsConfig &config)
     // target) is what live-sampling diagnostics plot; record it when
     // timelines are on.
     obs::TimelineRecorder *tl = obs::timelines();
-    if (tl)
-        tl->beginRun("smarts");
+    const obs::TimelineHandle tl_run =
+        tl ? tl->beginRun("smarts") : obs::TimelineHandle{};
     constexpr double kConfidence = 0.997;
     constexpr double kRelError = 0.03;
 
@@ -47,8 +47,8 @@ runSmarts(sim::SimulationEngine &engine, const SmartsConfig &config)
             const double hw = stats::ciHalfWidth(cpi, kConfidence);
             const double rel =
                 mean != 0.0 ? hw / std::abs(mean) : hw;
-            tl->recordConvergence(0, engine.totalOps(), cpi.count(),
-                                  mean, rel,
+            tl->recordConvergence(tl_run, 0, engine.totalOps(),
+                                  cpi.count(), mean, rel,
                                   cpi.count() >= 2 &&
                                       rel <= kRelError);
         }

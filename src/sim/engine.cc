@@ -4,7 +4,6 @@
 
 #include "obs/spans.hh"
 #include "obs/stats.hh"
-#include "obs/timeline.hh"
 #include "sim/checkpoint.hh"
 #include "util/logging.hh"
 
@@ -349,13 +348,6 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
     }
 
     span.addOps(done);
-
-    // Time-series observability: one predictable null check per run()
-    // chunk (per period, never per instruction) when timelines are
-    // off; a counter snapshot every interval_ops committed ops when
-    // on.
-    if (obs::TimelineRecorder *tl = obs::timelines())
-        tl->advance(done);
 
     return {done, pipeline_->cycles() - cycles_before};
 }

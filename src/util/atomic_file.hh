@@ -5,8 +5,8 @@
  * next to the destination, fsyncs, and renames into place — so a
  * crash (or an injected fault) at any point leaves either the old
  * file or the new one, never a truncated hybrid. Every persistent
- * artifact writer (profile cache, run reports, timeline
- * CSVs, bench snapshots) routes through this.
+ * artifact writer (profile cache, run reports, profile traces, bench
+ * snapshots) routes through this.
  *
  * Each fallible step checks a fault-injection site; callers pass a
  * FileSites bundle to give their artifact class its own site names

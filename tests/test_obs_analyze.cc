@@ -149,18 +149,16 @@ TEST(ObsAnalyzeCheck, CatchesSchemaAndAlignmentViolations)
     ASSERT_TRUE(pgss::obs::loadReportFromString(
         "{\"schema\":\"pgss-run-report\",\"schema_version\":2,"
         "\"program\":\"x\",\"stats\":{},"
-        "\"timelines\":{\"schema_version\":1,"
-        "\"counters\":{\"op\":[10,5],\"series\":{\"c\":[1]}},"
+        "\"timelines\":{\"schema_version\":2,"
         "\"runs\":[{\"label\":\"r\",\"convergence\":{\"0\":"
-        "{\"op\":[1,2],\"samples\":[2,1],\"mean\":[1,1],"
+        "{\"op\":[2,1],\"samples\":[2,1],\"mean\":[1,1],"
         "\"ci_rel\":[0.1,0.1],\"closed\":[0]}}}]}}",
         r, &err))
         << err;
     const CheckResult res = pgss::obs::checkReport(r);
-    EXPECT_FALSE(res.ok());
-    // Backwards counter axis, series misalignment, decreasing sample
-    // count, and misaligned 'closed' array are all distinct findings.
-    EXPECT_GE(res.violations.size(), 4u);
+    // Backwards convergence op axis, decreasing sample count, and
+    // misaligned 'closed' array are distinct findings.
+    EXPECT_EQ(res.violations.size(), 3u);
 
     LoadedReport wrong;
     ASSERT_TRUE(pgss::obs::loadReportFromString(

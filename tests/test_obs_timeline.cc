@@ -1,17 +1,17 @@
 /**
  * @file
  * Timeline recorder invariants: stride-doubling downsampling keeps
- * first/last points and bounded memory; counter snapshots stay
- * aligned across compactions; per-phase convergence curves are
- * deterministic under a fixed RNG seed and their CI narrows; an
- * adaptive run records every threshold move.
+ * first/last points and bounded memory; each run records through its
+ * own handle, also from concurrent threads; per-phase convergence
+ * curves are deterministic under a fixed RNG seed and their CI
+ * narrows; an adaptive run records every threshold move.
  */
 
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,8 +19,6 @@
 #include "core/pgss_controller.hh"
 #include "obs/json.hh"
 #include "obs/json_read.hh"
-#include "obs/report.hh"
-#include "obs/stats.hh"
 #include "obs/timeline.hh"
 #include "sim/engine.hh"
 #include "tests/helpers.hh"
@@ -28,7 +26,7 @@
 using pgss::obs::ConvergencePoint;
 using pgss::obs::PhasePoint;
 using pgss::obs::StridedSeries;
-using pgss::obs::TimelineConfig;
+using pgss::obs::TimelineHandle;
 using pgss::obs::TimelineRecorder;
 using pgss::obs::TimelineRun;
 
@@ -39,10 +37,10 @@ namespace
 class ScopedRecorder
 {
   public:
-    explicit ScopedRecorder(const TimelineConfig &config)
+    ScopedRecorder()
     {
         pgss::obs::setTimelineRecorder(
-            std::make_unique<TimelineRecorder>(config));
+            std::make_unique<TimelineRecorder>());
     }
 
     ~ScopedRecorder() { pgss::obs::setTimelineRecorder(nullptr); }
@@ -50,6 +48,17 @@ class ScopedRecorder
     TimelineRecorder &operator*() { return *pgss::obs::timelines(); }
     TimelineRecorder *operator->() { return pgss::obs::timelines(); }
 };
+
+/** The recorder's "timelines" section as JSON text. */
+std::string
+timelinesJson(const TimelineRecorder &rec)
+{
+    pgss::obs::JsonWriter w;
+    w.beginObject();
+    rec.dumpJson(w);
+    w.endObject();
+    return w.str();
+}
 
 } // anonymous namespace
 
@@ -97,70 +106,21 @@ TEST(StridedSeriesTest, MemoryStaysBoundedForever)
     EXPECT_GE(s.stride() * 32, 100'000u);
 }
 
-TEST(TimelineRecorderTest, SnapshotsFollowIntervalAndCompact)
-{
-    TimelineConfig config;
-    config.interval_ops = 100;
-    config.snapshot_capacity = 8;
-    ScopedRecorder rec(config);
-
-    for (int i = 0; i < 40; ++i)
-        rec->advance(50); // 2000 ops total, snapshot every 100
-
-    // 8-row capacity forced compactions; stride doubled past 100.
-    EXPECT_GT(rec->snapshotCompactions(), 0u);
-    EXPECT_GT(rec->intervalOps(), 100u);
-    EXPECT_EQ(rec->globalOps(), 2000u);
-    const std::vector<std::uint64_t> &ops = rec->snapshotOps();
-    ASSERT_FALSE(ops.empty());
-    EXPECT_LT(ops.size(), 8u);
-    for (std::size_t i = 1; i < ops.size(); ++i)
-        EXPECT_GT(ops[i], ops[i - 1]);
-}
-
-TEST(TimelineRecorderTest, CounterSeriesAlignAcrossDiscovery)
-{
-    TimelineConfig config;
-    config.interval_ops = 10;
-    ScopedRecorder rec(config);
-
-    // Static so the registered getters stay valid for the process
-    // lifetime (the global registry only grows, by design).
-    static std::uint64_t c1 = 0;
-    static std::uint64_t c2 = 0;
-    pgss::obs::Group &g = pgss::obs::registry().root().child(
-        "tlalign", "timeline alignment test");
-    g.addCounter("c1", "first counter", [] { return c1; });
-
-    c1 = 5;
-    rec->advance(10); // snapshot 1: only c1 exists
-    g.addCounter("c2", "late counter", [] { return c2; });
-    c1 = 9;
-    c2 = 3;
-    rec->advance(10); // snapshot 2: c2 discovered mid-run
-
-    const std::vector<double> s1 = rec->series("tlalign.c1");
-    const std::vector<double> s2 = rec->series("tlalign.c2");
-    ASSERT_EQ(s1.size(), 2u);
-    ASSERT_EQ(s2.size(), 2u);
-    EXPECT_DOUBLE_EQ(s1[0], 5.0);
-    EXPECT_DOUBLE_EQ(s1[1], 9.0);
-    EXPECT_TRUE(std::isnan(s2[0])); // unknown before discovery
-    EXPECT_DOUBLE_EQ(s2[1], 3.0);
-}
-
 TEST(TimelineRecorderTest, RunsPhasesAndCurvesRecord)
 {
-    ScopedRecorder rec(TimelineConfig{});
-    rec->beginRun("a");
-    rec->recordPhase(100, 1);
-    rec->recordPhase(200, 1);
-    rec->recordPhase(300, 2);
-    rec->recordConvergence(1, 150, 1, 2.0, 0.5, false);
-    rec->recordConvergence(1, 250, 2, 2.1, 0.2, false);
-    rec->recordConvergence(2, 350, 1, 3.0, 0.4, true);
-    rec->beginRun("b");
-    rec->recordPhase(50, 7);
+    ScopedRecorder rec;
+    // Two open runs with interleaved records: each record lands in
+    // the run its handle names, not in the run that began last.
+    const TimelineHandle a = rec->beginRun("a");
+    const TimelineHandle b = rec->beginRun("b");
+    rec->recordPhase(a, 100, 1);
+    rec->recordPhase(b, 50, 7);
+    rec->recordPhase(a, 200, 1);
+    rec->recordConvergence(a, 1, 150, 1, 2.0, 0.5, false);
+    rec->recordThreshold(b, 60, 0.3);
+    rec->recordPhase(a, 300, 2);
+    rec->recordConvergence(a, 1, 250, 2, 2.1, 0.2, false);
+    rec->recordConvergence(a, 2, 350, 1, 3.0, 0.4, true);
 
     const std::vector<TimelineRun> &runs = rec->runs();
     ASSERT_EQ(runs.size(), 2u);
@@ -169,49 +129,57 @@ TEST(TimelineRecorderTest, RunsPhasesAndCurvesRecord)
     ASSERT_EQ(runs[0].curves.size(), 2u);
     EXPECT_EQ(runs[0].curves[0].phase, 1u);
     EXPECT_EQ(runs[0].curves[0].series.recorded(), 2u);
+    EXPECT_EQ(runs[0].threshold.recorded(), 0u);
     EXPECT_EQ(runs[1].label, "b");
+    EXPECT_EQ(runs[1].phase_timeline.recorded(), 1u);
     EXPECT_EQ(runs[1].phase_timeline.points()[0].phase, 7u);
+    EXPECT_TRUE(runs[1].curves.empty());
+    EXPECT_EQ(runs[1].threshold.recorded(), 1u);
 }
 
 TEST(TimelineRecorderTest, DropsRunsBeyondCapAndCounts)
 {
-    TimelineConfig config;
-    config.max_runs = 2;
-    ScopedRecorder rec(config);
-    for (int i = 0; i < 5; ++i) {
-        rec->beginRun("run" + std::to_string(i));
-        rec->recordPhase(10, 0); // dropped silently past the cap
+    ScopedRecorder rec;
+    constexpr std::size_t kRuns = TimelineRecorder::max_runs + 3;
+    std::vector<TimelineHandle> handles;
+    for (std::size_t i = 0; i < kRuns; ++i) {
+        handles.push_back(rec->beginRun("run" + std::to_string(i)));
+        rec->recordPhase(handles.back(), 10, 0);
     }
-    EXPECT_EQ(rec->runs().size(), 2u);
+    ASSERT_EQ(rec->runs().size(), TimelineRecorder::max_runs);
     EXPECT_EQ(rec->droppedRuns(), 3u);
+    for (const TimelineRun &run : rec->runs())
+        EXPECT_EQ(run.phase_timeline.recorded(), 1u);
+
+    // Past the cap, and from a default handle, records are discarded
+    // silently: the last kept run gains nothing.
+    rec->recordPhase(handles.back(), 20, 1);
+    rec->recordThreshold(TimelineHandle{}, 20, 0.5);
+    EXPECT_EQ(rec->runs().back().phase_timeline.recorded(), 1u);
+    EXPECT_EQ(rec->runs().back().threshold.recorded(), 0u);
 }
 
 TEST(TimelineRecorderTest, DumpJsonIsValidAndComplete)
 {
-    TimelineConfig config;
-    config.interval_ops = 64;
-    ScopedRecorder rec(config);
-    rec->advance(64);
-    rec->beginRun("pgss");
-    rec->recordPhase(64, 0);
-    rec->recordConvergence(0, 64, 1, 1.5,
+    ScopedRecorder rec;
+    const TimelineHandle run = rec->beginRun("pgss");
+    rec->recordPhase(run, 64, 0);
+    rec->recordConvergence(run, 0, 64, 1, 1.5,
                            std::numeric_limits<double>::infinity(),
                            false);
-    rec->recordThreshold(64, 0.25);
-
-    pgss::obs::JsonWriter w;
-    w.beginObject();
-    rec->dumpJson(w);
-    w.endObject();
-    ASSERT_TRUE(w.complete());
+    rec->recordThreshold(run, 64, 0.25);
 
     pgss::obs::JsonValue doc;
     std::string err;
-    ASSERT_TRUE(pgss::obs::parseJson(w.str(), doc, &err)) << err;
+    ASSERT_TRUE(pgss::obs::parseJson(timelinesJson(*rec), doc, &err))
+        << err;
     const pgss::obs::JsonValue *tl = doc.get("timelines");
     ASSERT_TRUE(tl);
-    EXPECT_EQ(tl->get("schema_version")->asUint(),
-              TimelineRecorder::schema_version);
+    EXPECT_EQ(tl->get("schema_version")->asUint(), 2u);
+    // Schema 2: no counter snapshots and none of their fields.
+    for (const char *gone : {"counters", "interval_ops", "global_ops",
+                             "snapshot_compactions"})
+        EXPECT_EQ(tl->get(gone), nullptr) << gone;
     const pgss::obs::JsonValue *runs = tl->get("runs");
     ASSERT_TRUE(runs && runs->isArray());
     ASSERT_EQ(runs->array.size(), 1u);
@@ -230,39 +198,16 @@ TEST(TimelineRecorderTest, DumpJsonIsValidAndComplete)
     EXPECT_DOUBLE_EQ(th->get("radians")->array[0].number, 0.25);
 }
 
-TEST(TimelineRecorderTest, CsvHasHeaderAndAllKinds)
-{
-    TimelineConfig config;
-    config.interval_ops = 64;
-    ScopedRecorder rec(config);
-    rec->advance(64);
-    rec->beginRun("r");
-    rec->recordPhase(10, 3);
-    rec->recordConvergence(3, 10, 1, 2.0, 0.1, true);
-    rec->recordThreshold(20, 0.5);
-
-    std::ostringstream csv;
-    rec->writeCsv(csv);
-    const std::string text = csv.str();
-    EXPECT_NE(text.find("kind,run,key,op,value,samples,ci_rel,closed"),
-              std::string::npos);
-    EXPECT_NE(text.find("phase,r,,10,3"), std::string::npos);
-    EXPECT_NE(text.find("convergence,r,3,10,2,1,0.1,1"),
-              std::string::npos);
-    EXPECT_NE(text.find("threshold,r,,20,0.5"), std::string::npos);
-}
-
 // ---- End-to-end: PGSS controller feeds the recorder ---------------
 
 namespace
 {
 
 pgss::core::PgssResult
-runPgssWithTimelines()
+runPgss(const pgss::isa::Program &program)
 {
     using namespace pgss;
-    auto built = test::twoPhaseWorkload(300'000.0, 4);
-    sim::SimulationEngine engine(built.program);
+    sim::SimulationEngine engine(program);
     core::PgssConfig config;
     config.bbv_period = 50'000;
     config.min_sample_spacing = 200'000;
@@ -270,11 +215,17 @@ runPgssWithTimelines()
     return controller.run(engine);
 }
 
+pgss::core::PgssResult
+runPgssWithTimelines()
+{
+    return runPgss(pgss::test::twoPhaseWorkload(300'000.0, 4).program);
+}
+
 } // anonymous namespace
 
 TEST(TimelinePgssTest, CurvesNarrowAndCloseDeterministically)
 {
-    ScopedRecorder rec(TimelineConfig{});
+    ScopedRecorder rec;
     runPgssWithTimelines();
 
     const std::vector<TimelineRun> &runs = rec->runs();
@@ -287,35 +238,33 @@ TEST(TimelinePgssTest, CurvesNarrowAndCloseDeterministically)
         const std::vector<ConvergencePoint> pts = c.series.points();
         ASSERT_FALSE(pts.empty());
         std::uint64_t prev_samples = 0;
+        std::uint64_t prev_op = 0;
         for (const ConvergencePoint &p : pts) {
             // Sample counts only grow along a curve, ops only advance.
             EXPECT_GE(p.samples, prev_samples);
+            EXPECT_GT(p.op, prev_op);
             prev_samples = p.samples;
+            prev_op = p.op;
         }
         // Once enough samples accumulate the relative CI must have
         // narrowed below its n=2 starting point for a closed curve.
-        if (pts.back().closed && pts.back().samples >= 4)
+        if (pts.back().closed && pts.back().samples >= 4) {
             EXPECT_LT(pts.back().ci_rel, 1.0);
+        }
     }
 
-    // Determinism: the fixed jitter seed reproduces the whole CSV —
-    // counter snapshots, phase timelines and convergence curves.
-    const auto csv = [](TimelineRecorder &r) {
-        std::ostringstream out;
-        r.writeCsv(out);
-        return out.str();
-    };
-    const std::string first = csv(*rec);
-    pgss::obs::setTimelineRecorder(
-        std::make_unique<TimelineRecorder>(TimelineConfig{}));
+    // Determinism: the fixed jitter seed reproduces the whole section
+    // — phase timelines, convergence curves and threshold series.
+    const std::string first = timelinesJson(*rec);
+    pgss::obs::setTimelineRecorder(std::make_unique<TimelineRecorder>());
     runPgssWithTimelines();
-    EXPECT_EQ(first, csv(*pgss::obs::timelines()));
+    EXPECT_EQ(first, timelinesJson(*pgss::obs::timelines()));
 }
 
 TEST(TimelinePgssTest, AdaptiveThresholdMovesAreRecorded)
 {
     using namespace pgss;
-    ScopedRecorder rec(TimelineConfig{});
+    ScopedRecorder rec;
     auto built = test::twoPhaseWorkload(300'000.0, 4);
     sim::SimulationEngine engine(built.program);
     core::PgssConfig config;
@@ -342,4 +291,28 @@ TEST(TimelinePgssTest, DisabledRecorderRecordsNothing)
     pgss::obs::setTimelineRecorder(nullptr);
     runPgssWithTimelines(); // must not crash touching hooks
     EXPECT_EQ(pgss::obs::timelines(), nullptr);
+}
+
+TEST(TimelineParallel, ConcurrentRunsStayApart)
+{
+    // Two controllers on two threads record under one recorder at
+    // once, as PGSS_JOBS workers do. Each run's records must land in
+    // its own run, not in whichever run began last.
+    ScopedRecorder rec;
+    const auto built = pgss::test::twoPhaseWorkload(300'000.0, 4);
+    std::thread first([&] { runPgss(built.program); });
+    std::thread second([&] { runPgss(built.program); });
+    first.join();
+    second.join();
+
+    const std::vector<TimelineRun> &runs = rec->runs();
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_GT(runs[0].phase_timeline.recorded(), 0u);
+    EXPECT_EQ(runs[0].phase_timeline.recorded(),
+              runs[1].phase_timeline.recorded());
+    for (const TimelineRun &run : runs) {
+        const std::vector<PhasePoint> pts = run.phase_timeline.points();
+        for (std::size_t i = 1; i < pts.size(); ++i)
+            EXPECT_GT(pts[i].op, pts[i - 1].op) << run.label << " @" << i;
+    }
 }
