@@ -56,63 +56,4 @@ disassemble(const Instruction &inst, std::uint64_t pc)
     return buf;
 }
 
-CtrlKind
-ctrlKind(const Instruction &inst)
-{
-    switch (inst.op) {
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-        return CtrlKind::CondBranch;
-      case Opcode::Jal:
-        return CtrlKind::DirectJump;
-      case Opcode::Jalr:
-        return CtrlKind::IndirectJump;
-      case Opcode::Halt:
-        return CtrlKind::Halt;
-      default:
-        return CtrlKind::None;
-    }
-}
-
-bool
-fallsThrough(const Instruction &inst)
-{
-    const CtrlKind kind = ctrlKind(inst);
-    return kind == CtrlKind::None || kind == CtrlKind::CondBranch;
-}
-
-bool
-hasStaticTarget(const Instruction &inst)
-{
-    const CtrlKind kind = ctrlKind(inst);
-    return kind == CtrlKind::CondBranch || kind == CtrlKind::DirectJump;
-}
-
-bool
-readsMemory(const Instruction &inst)
-{
-    return inst.info().op_class == OpClass::MemRead;
-}
-
-bool
-writesMemory(const Instruction &inst)
-{
-    return inst.info().op_class == OpClass::MemWrite;
-}
-
-bool
-isCall(const Instruction &inst)
-{
-    return inst.op == Opcode::Jal && inst.rd != reg_zero;
-}
-
-bool
-isReturn(const Instruction &inst, std::uint8_t link_reg)
-{
-    return inst.op == Opcode::Jalr && inst.rd == reg_zero &&
-           inst.rs1 == link_reg && inst.imm == 0;
-}
-
 } // namespace pgss::isa

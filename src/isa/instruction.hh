@@ -1,9 +1,10 @@
 /**
  * @file
  * Pre-decoded instruction representation. Programs are stored as a
- * flat vector of Instruction, indexed by "pc" = instruction index; the
- * functional core interprets them directly, so there is no decode cost
- * on the simulator's hot path.
+ * flat vector of Instruction, indexed by "pc" = instruction index.
+ * The functional core copies them once per program into its execute
+ * loop's operand table (cpu/functional_core.hh), so there is no
+ * decode cost on the simulator's hot path.
  */
 
 #ifndef PGSS_ISA_INSTRUCTION_HH
@@ -45,49 +46,6 @@ struct Instruction
  * @param pc the instruction's own index (annotated in the output).
  */
 std::string disassemble(const Instruction &inst, std::uint64_t pc);
-
-/**
- * Control-flow behaviour of one decoded instruction, as the static
- * analyses (src/progcheck) and the CFG builder need it.
- */
-enum class CtrlKind : std::uint8_t
-{
-    None,         ///< always falls through to pc+1
-    CondBranch,   ///< falls through or jumps to the static target
-    DirectJump,   ///< always jumps to the static target (Jal)
-    IndirectJump, ///< target is regs[rs1] + imm (Jalr)
-    Halt,         ///< execution stops; no successor
-};
-
-/** Classify @p inst's control-flow behaviour. */
-CtrlKind ctrlKind(const Instruction &inst);
-
-/** True when execution can continue at pc+1 after @p inst. */
-bool fallsThrough(const Instruction &inst);
-
-/**
- * True when @p inst has a statically-known transfer target (a
- * conditional branch or direct jump); the target index is inst.imm.
- */
-bool hasStaticTarget(const Instruction &inst);
-
-/** True when @p inst reads data memory. */
-bool readsMemory(const Instruction &inst);
-
-/** True when @p inst writes data memory. */
-bool writesMemory(const Instruction &inst);
-
-/**
- * True when @p inst is a subroutine call: a direct jump that records
- * the return index in a real register.
- */
-bool isCall(const Instruction &inst);
-
-/**
- * True when @p inst is a subroutine return: an indirect jump through
- * @p link_reg with no immediate offset that discards the return index.
- */
-bool isReturn(const Instruction &inst, std::uint8_t link_reg);
 
 } // namespace pgss::isa
 

@@ -1,10 +1,10 @@
 /**
  * @file
- * A complete simulated program: pre-decoded instruction memory, a data
- * footprint, and basic-block metadata produced by the workload
- * builder. Instruction "addresses" used by the branch predictors and
- * BBV hash are byte addresses (index << 2) to mimic real 32-bit
- * instruction encodings.
+ * A complete simulated program: pre-decoded instruction memory, an
+ * entry point and an initial data image, as the workload builder
+ * produces them. Instruction "addresses" used by the branch
+ * predictors and BBV hash are byte addresses (index << 2) to mimic
+ * real 32-bit instruction encodings.
  */
 
 #ifndef PGSS_ISA_PROGRAM_HH
@@ -26,31 +26,6 @@ instAddr(std::uint64_t index)
     return index << 2;
 }
 
-/**
- * One named region of the data footprint, as declared by the workload
- * builder's allocations. Static address arithmetic in the code is
- * expected to stay inside some declared segment; the progcheck memory
- * pass enforces this.
- */
-struct DataSegment
-{
-    std::string label;        ///< allocation label ("seg<n>" if unnamed)
-    std::uint64_t base = 0;   ///< first byte address
-    std::uint64_t bytes = 0;  ///< extent
-};
-
-/**
- * BTB-style static target set for one indirect jump: the complete set
- * of instruction indices the jump can transfer to, declared by the
- * program builder (for subroutine returns: every call site + 1). The
- * CFG builder uses these as the jump's successor edges.
- */
-struct IndirectTargetSet
-{
-    std::uint32_t at = 0;               ///< index of the Jalr
-    std::vector<std::uint32_t> targets; ///< possible target indices
-};
-
 /** A runnable program. */
 struct Program
 {
@@ -59,25 +34,11 @@ struct Program
     std::uint64_t data_bytes = 0;     ///< data segment size
     std::uint64_t entry = 0;          ///< first instruction index
 
-    /** Declared data segments, ascending by base; may be empty for
-     *  hand-assembled programs (checks then fall back to the whole
-     *  [0, data_bytes) footprint). */
-    std::vector<DataSegment> segments;
-
-    /** Declared indirect-jump target sets, ascending by index. */
-    std::vector<IndirectTargetSet> indirect_targets;
-
     /**
      * Initial data-memory image (64-bit words), host-initialised by
      * the workload builder; sized data_bytes / 8.
      */
     std::vector<std::uint64_t> data_words;
-
-    /**
-     * Instruction indices that begin a basic block, in ascending
-     * order. Populated by the ProgramBuilder; informational.
-     */
-    std::vector<std::uint32_t> bb_starts;
 
     /** Number of static instructions. */
     std::size_t size() const { return code.size(); }

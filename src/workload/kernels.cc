@@ -53,16 +53,13 @@ emitStream(ProgramBuilder &b, const KernelSpec &spec)
         1, spec.stride_words);
     const std::uint64_t iters =
         std::max<std::uint64_t>(8, spec.footprint_bytes / (8 * stride));
-    const std::uint64_t base =
-        b.allocData(iters * stride * 8, 64, "stream.data");
+    const std::uint64_t base = b.allocData(iters * stride * 8, 64);
 
     KernelCode kc;
-    b.markBlockStart();
     kc.entry = b.here();
     b.loadImm(r_base, base);
     b.loadImm(r_cnt, iters);
     const std::uint32_t loop = b.here();
-    b.markBlockStart();
     b.emit(Opcode::Ld, r_t0, r_base, 0, 0);
     b.emit(Opcode::Addi, r_t0, r_t0, 0, 1);
     b.emit(Opcode::St, 0, r_base, r_t0, 0);
@@ -78,8 +75,8 @@ emitChase(ProgramBuilder &b, const KernelSpec &spec)
 {
     const std::uint64_t n =
         std::max<std::uint64_t>(16, spec.footprint_bytes / 8);
-    const std::uint64_t base = b.allocData(n * 8, 64, "chase.nodes");
-    const std::uint64_t cursor = b.allocData(8, 8, "chase.cursor");
+    const std::uint64_t base = b.allocData(n * 8, 64);
+    const std::uint64_t cursor = b.allocData(8, 8);
 
     // Host-side: one random Hamiltonian cycle through the n slots.
     util::Rng rng(spec.seed * 0x51ed2701u + 17);
@@ -97,13 +94,11 @@ emitChase(ProgramBuilder &b, const KernelSpec &spec)
     const std::uint32_t filler = std::min<std::uint32_t>(4, spec.ilp);
 
     KernelCode kc;
-    b.markBlockStart();
     kc.entry = b.here();
     b.loadImm(r_base2, cursor);
     b.emit(Opcode::Ld, r_base, r_base2, 0, 0);
     b.loadImm(r_cnt, spec.inner_iters);
     const std::uint32_t loop = b.here();
-    b.markBlockStart();
     b.emit(Opcode::Ld, r_base, r_base, 0, 0);
     for (std::uint32_t f = 0; f < filler; ++f)
         b.emit(Opcode::Addi, static_cast<R>(r_t0 + f),
@@ -112,11 +107,8 @@ emitChase(ProgramBuilder &b, const KernelSpec &spec)
     const std::uint32_t br = b.emitBranch(Opcode::Bne, r_cnt, 0);
     b.patchTarget(br, loop);
     // The loop-back bne falls through on the final trip; the cursor
-    // is saved before returning so the walk resumes where it
-    // stopped. (The seed emitted this St after the return, where it
-    // could never execute — the progcheck unreachable-code finding
-    // this PR's regression test pins.)
-    b.markBlockStart();
+    // is saved before returning so the walk resumes where it stopped
+    // (ChaseKernel.CursorSaveExecutes pins this).
     b.emit(Opcode::St, 0, r_base2, r_base, 0);
     b.emit(Opcode::Jalr, 0, regs::link, 0, 0);
     kc.ops_per_call =
@@ -131,7 +123,6 @@ emitCompute(ProgramBuilder &b, const KernelSpec &spec)
         std::clamp<std::uint32_t>(spec.ilp, 1, 8);
 
     KernelCode kc;
-    b.markBlockStart();
     kc.entry = b.here();
     b.loadImm(r_const, doubleBits(1.0));
     for (std::uint32_t c = 0; c < ilp; ++c)
@@ -139,7 +130,6 @@ emitCompute(ProgramBuilder &b, const KernelSpec &spec)
                   doubleBits(1.0 + 0.125 * (c + 1)));
     b.loadImm(r_cnt, spec.inner_iters);
     const std::uint32_t loop = b.here();
-    b.markBlockStart();
     for (std::uint32_t c = 0; c < ilp; ++c)
         b.emit(Opcode::Fmul, static_cast<R>(r_base2 + c),
                static_cast<R>(r_base2 + c), r_const, 0);
@@ -154,13 +144,11 @@ KernelCode
 emitSerialFp(ProgramBuilder &b, const KernelSpec &spec)
 {
     KernelCode kc;
-    b.markBlockStart();
     kc.entry = b.here();
     b.loadImm(r_const, doubleBits(1.0));
     b.loadImm(r_acc, doubleBits(1.5));
     b.loadImm(r_cnt, spec.inner_iters);
     const std::uint32_t loop = b.here();
-    b.markBlockStart();
     b.emit(Opcode::Fdiv, r_acc, r_acc, r_const, 0);
     emitLoopTail(b, loop);
     kc.ops_per_call = 3.0 * static_cast<double>(spec.inner_iters) + 4.0;
@@ -172,8 +160,7 @@ emitBranchy(ProgramBuilder &b, const KernelSpec &spec)
 {
     const std::uint64_t n =
         std::max<std::uint64_t>(64, spec.footprint_bytes / 8);
-    const std::uint64_t base =
-        b.allocData(n * 8, 64, "branchy.data");
+    const std::uint64_t base = b.allocData(n * 8, 64);
 
     // Host-side: random words whose low bit drives the conditional
     // branch; bit0 == 0 (branch taken, work skipped) with probability
@@ -187,18 +174,15 @@ emitBranchy(ProgramBuilder &b, const KernelSpec &spec)
     }
 
     KernelCode kc;
-    b.markBlockStart();
     kc.entry = b.here();
     b.loadImm(r_base, base);
     b.loadImm(r_cnt, n);
     const std::uint32_t loop = b.here();
-    b.markBlockStart();
     b.emit(Opcode::Ld, r_t0, r_base, 0, 0);
     b.emit(Opcode::Andi, r_t1, r_t0, 0, 1);
     const std::uint32_t skip_br = b.emitBranch(Opcode::Beq, r_t1, 0);
     b.emit(Opcode::Add, r_acc, r_acc, r_t0, 0);
     b.emit(Opcode::Xor, r_t2, r_t2, r_t0, 0);
-    b.markBlockStart();
     b.patchTarget(skip_br, b.here());
     b.emit(Opcode::Addi, r_base, r_base, 0, 8);
     emitLoopTail(b, loop);
@@ -213,8 +197,8 @@ emitStencil(ProgramBuilder &b, const KernelSpec &spec)
 {
     const std::uint64_t n =
         std::max<std::uint64_t>(16, spec.footprint_bytes / 16);
-    const std::uint64_t in = b.allocData(n * 8, 64, "stencil.in");
-    const std::uint64_t out = b.allocData(n * 8, 64, "stencil.out");
+    const std::uint64_t in = b.allocData(n * 8, 64);
+    const std::uint64_t out = b.allocData(n * 8, 64);
 
     util::Rng rng(spec.seed * 0x2545f491u + 3);
     for (std::uint64_t i = 0; i < n; ++i)
@@ -223,14 +207,12 @@ emitStencil(ProgramBuilder &b, const KernelSpec &spec)
     const std::uint64_t iters = n - 2;
 
     KernelCode kc;
-    b.markBlockStart();
     kc.entry = b.here();
     b.loadImm(r_base, in);
     b.loadImm(r_base2, out);
     b.loadImm(r_const, doubleBits(1.0 / 3.0));
     b.loadImm(r_cnt, iters);
     const std::uint32_t loop = b.here();
-    b.markBlockStart();
     b.emit(Opcode::Ld, r_t0, r_base, 0, 0);
     b.emit(Opcode::Ld, r_t1, r_base, 0, 8);
     b.emit(Opcode::Ld, r_t2, r_base, 0, 16);
@@ -250,11 +232,9 @@ emitHashScatter(ProgramBuilder &b, const KernelSpec &spec)
 {
     std::uint64_t n = std::bit_floor(
         std::max<std::uint64_t>(64, spec.footprint_bytes / 8));
-    const std::uint64_t base =
-        b.allocData(n * 8, 64, "hash_scatter.data");
+    const std::uint64_t base = b.allocData(n * 8, 64);
 
     KernelCode kc;
-    b.markBlockStart();
     kc.entry = b.here();
     b.loadImm(r_base, base);
     b.loadImm(r_t0, spec.seed | 1);
@@ -263,7 +243,6 @@ emitHashScatter(ProgramBuilder &b, const KernelSpec &spec)
     b.loadImm(r_acc, 0xabcdef);
     b.loadImm(r_cnt, spec.inner_iters);
     const std::uint32_t loop = b.here();
-    b.markBlockStart();
     b.emit(Opcode::Mul, r_t0, r_t0, r_const, 0);
     b.emit(Opcode::Srl, r_t1, r_t0, r_const2, 0);
     b.emit(Opcode::Andi, r_t1, r_t1, 0,
@@ -280,20 +259,18 @@ emitReduce(ProgramBuilder &b, const KernelSpec &spec)
 {
     const std::uint64_t n =
         std::max<std::uint64_t>(16, spec.footprint_bytes / 8);
-    const std::uint64_t base = b.allocData(n * 8, 64, "reduce.data");
+    const std::uint64_t base = b.allocData(n * 8, 64);
 
     util::Rng rng(spec.seed * 0x853c49e6u + 11);
     for (std::uint64_t i = 0; i < n; ++i)
         b.initWord(base + i * 8, doubleBits(rng.nextDouble()));
 
     KernelCode kc;
-    b.markBlockStart();
     kc.entry = b.here();
     b.loadImm(r_base, base);
     b.loadImm(r_acc, doubleBits(0.0));
     b.loadImm(r_cnt, n);
     const std::uint32_t loop = b.here();
-    b.markBlockStart();
     b.emit(Opcode::Ld, r_t0, r_base, 0, 0);
     b.emit(Opcode::Fadd, r_acc, r_acc, r_t0, 0);
     b.emit(Opcode::Addi, r_base, r_base, 0, 8);

@@ -1,8 +1,5 @@
 #include "workload/program_builder.hh"
 
-#include <algorithm>
-
-#include "progcheck/verifier.hh"
 #include "util/logging.hh"
 
 namespace pgss::workload
@@ -10,7 +7,6 @@ namespace pgss::workload
 
 ProgramBuilder::ProgramBuilder(std::string name) : name_(std::move(name))
 {
-    bb_starts_.push_back(0);
 }
 
 std::uint32_t
@@ -25,11 +21,6 @@ ProgramBuilder::emit(isa::Opcode op, std::uint8_t rd, std::uint8_t rs1,
 {
     const std::uint32_t index = here();
     code_.push_back({op, rd, rs1, rs2, imm});
-    const isa::OpInfo &info = isa::opInfo(op);
-    // A control transfer ends a basic block; the next instruction
-    // starts one.
-    if (info.is_branch || info.is_jump)
-        bb_starts_.push_back(index + 1);
     return index;
 }
 
@@ -60,16 +51,8 @@ ProgramBuilder::loadImm(std::uint8_t rd, std::uint64_t value)
                 static_cast<std::int64_t>(value));
 }
 
-void
-ProgramBuilder::markBlockStart()
-{
-    if (bb_starts_.empty() || bb_starts_.back() != here())
-        bb_starts_.push_back(here());
-}
-
 std::uint64_t
-ProgramBuilder::allocData(std::uint64_t bytes, std::uint64_t align,
-                          const std::string &label)
+ProgramBuilder::allocData(std::uint64_t bytes, std::uint64_t align)
 {
     util::panicIf(align == 0 || (align & (align - 1)) != 0,
                   "allocData alignment must be a power of two");
@@ -79,27 +62,7 @@ ProgramBuilder::allocData(std::uint64_t bytes, std::uint64_t align,
     const std::uint64_t words = (data_cursor_ + 7) / 8;
     if (words > data_words_.size())
         data_words_.resize(words, 0);
-    segments_.push_back(
-        {label.empty() ? "seg" + std::to_string(segments_.size())
-                       : label,
-         base, bytes});
     return base;
-}
-
-void
-ProgramBuilder::declareIndirectTargets(std::uint32_t index,
-                                       std::vector<std::uint32_t>
-                                           targets)
-{
-    util::panicIf(index >= code_.size(),
-                  "declareIndirectTargets index out of range");
-    util::panicIf(code_[index].op != isa::Opcode::Jalr,
-                  "declareIndirectTargets on a non-indirect "
-                  "instruction");
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()),
-                  targets.end());
-    indirect_targets_.push_back({index, std::move(targets)});
 }
 
 void
@@ -112,81 +75,16 @@ ProgramBuilder::initWord(std::uint64_t addr, std::uint64_t value)
     data_words_[w] = value;
 }
 
-void
-ProgramBuilder::deriveReturnTargets()
-{
-    // BTB-style return-target sets: a Jalr through a link register
-    // can land on any call+1 whose Jal wrote that register. Explicit
-    // declarations (computed jumps) are left untouched.
-    std::vector<std::uint32_t> continuations[isa::num_regs];
-    for (std::size_t pc = 0; pc < code_.size(); ++pc) {
-        const isa::Instruction &inst = code_[pc];
-        if (isa::isCall(inst) && pc + 1 < code_.size())
-            continuations[inst.rd].push_back(
-                static_cast<std::uint32_t>(pc + 1));
-    }
-    for (std::size_t pc = 0; pc < code_.size(); ++pc) {
-        const isa::Instruction &inst = code_[pc];
-        if (inst.op != isa::Opcode::Jalr || inst.imm != 0 ||
-            inst.rd != isa::reg_zero)
-            continue;
-        const bool declared = std::any_of(
-            indirect_targets_.begin(), indirect_targets_.end(),
-            [pc](const isa::IndirectTargetSet &set) {
-                return set.at == pc;
-            });
-        if (declared || continuations[inst.rs1].empty())
-            continue;
-        indirect_targets_.push_back(
-            {static_cast<std::uint32_t>(pc),
-             continuations[inst.rs1]});
-    }
-    std::sort(indirect_targets_.begin(), indirect_targets_.end(),
-              [](const isa::IndirectTargetSet &a,
-                 const isa::IndirectTargetSet &b) {
-                  return a.at < b.at;
-              });
-}
-
 isa::Program
 ProgramBuilder::finalize(std::uint64_t entry)
 {
     util::panicIf(entry >= code_.size(), "program entry out of range");
-    deriveReturnTargets();
     isa::Program prog;
     prog.name = name_;
     prog.code = std::move(code_);
     prog.data_bytes = data_words_.size() * 8;
     prog.data_words = std::move(data_words_);
     prog.entry = entry;
-    prog.segments = std::move(segments_);
-    prog.indirect_targets = std::move(indirect_targets_);
-    // Deduplicate and sort the block starts.
-    std::sort(bb_starts_.begin(), bb_starts_.end());
-    bb_starts_.erase(std::unique(bb_starts_.begin(), bb_starts_.end()),
-                     bb_starts_.end());
-    while (!bb_starts_.empty() && bb_starts_.back() >= prog.code.size())
-        bb_starts_.pop_back();
-    prog.bb_starts = std::move(bb_starts_);
-
-    // Debug-mode backstop: every built program goes through the
-    // static verifier, so emission bugs (unreachable code, RAS
-    // imbalance, out-of-segment addresses) fail at construction
-    // instead of silently skewing simulations.
-    if (verify_on_finalize_ && progcheck::verifyOnBuild()) {
-        const progcheck::Report report = progcheck::verify(prog);
-        if (!report.clean()) {
-            for (const progcheck::Finding &f : report.findings) {
-                if (f.severity == progcheck::Severity::Error)
-                    util::warn("progcheck: %s: %s",
-                               prog.name.c_str(), f.str().c_str());
-            }
-            util::panic("progcheck: program '%s' has %zu "
-                        "error-severity finding(s)",
-                        prog.name.c_str(),
-                        report.count(progcheck::Severity::Error));
-        }
-    }
     return prog;
 }
 

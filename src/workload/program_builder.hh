@@ -1,10 +1,10 @@
 /**
  * @file
  * Code and data emission for synthetic programs. The builder appends
- * pre-decoded instructions, tracks basic-block boundaries, allocates
- * and host-initialises data memory, and patches forward branch
- * targets. Kernels and phase-script drivers are emitted through this
- * interface; the result is a self-contained isa::Program.
+ * pre-decoded instructions, allocates and host-initialises data
+ * memory, and patches forward branch targets. Kernels and
+ * phase-script drivers are emitted through this interface; the result
+ * is a self-contained isa::Program.
  */
 
 #ifndef PGSS_WORKLOAD_PROGRAM_BUILDER_HH
@@ -60,64 +60,30 @@ class ProgramBuilder
     /** Materialise a full 64-bit immediate into @p rd (one Lui). */
     std::uint32_t loadImm(std::uint8_t rd, std::uint64_t value);
 
-    /** Record that the next instruction starts a basic block. */
-    void markBlockStart();
-
     /**
      * Reserve @p bytes of data memory.
      * @param align alignment in bytes (power of two).
-     * @param label segment name recorded in the program's segment
-     *        table (empty picks "seg<n>"); the progcheck memory pass
-     *        verifies static address arithmetic against these.
      * @return the base byte address of the allocation.
      */
-    std::uint64_t allocData(std::uint64_t bytes,
-                            std::uint64_t align = 64,
-                            const std::string &label = "");
-
-    /**
-     * Declare the complete static target set of the indirect jump at
-     * @p index (BTB-style). finalize() auto-derives the set for every
-     * undeclared link-register return — all call sites + 1 — so only
-     * computed jumps need explicit declarations.
-     */
-    void declareIndirectTargets(std::uint32_t index,
-                                std::vector<std::uint32_t> targets);
+    std::uint64_t allocData(std::uint64_t bytes, std::uint64_t align = 64);
 
     /** Host-initialise the 64-bit word at byte address @p addr. */
     void initWord(std::uint64_t addr, std::uint64_t value);
-
-    /**
-     * Opt this builder out of (or back into) finalize()-time
-     * verification. Test fixtures that deliberately build partial or
-     * broken programs use this; production emission never should.
-     */
-    void setVerifyOnFinalize(bool on) { verify_on_finalize_ = on; }
 
     /** Bytes of data memory allocated so far. */
     std::uint64_t dataBytes() const { return data_cursor_; }
 
     /**
-     * Produce the finished program. Return-target sets are derived
-     * for undeclared link-register returns, and — when
-     * progcheck::verifyOnBuild() is enabled (PGSS_VERIFY_PROGRAMS,
-     * default on in debug builds) — the finished program is run
-     * through the static verifier; error-severity findings panic.
+     * Produce the finished program.
      * @param entry index of the first instruction to execute.
      */
     isa::Program finalize(std::uint64_t entry);
 
   private:
-    void deriveReturnTargets();
-
     std::string name_;
     std::vector<isa::Instruction> code_;
-    std::vector<std::uint32_t> bb_starts_;
     std::vector<std::uint64_t> data_words_;
     std::uint64_t data_cursor_ = 0;
-    std::vector<isa::DataSegment> segments_;
-    std::vector<isa::IndirectTargetSet> indirect_targets_;
-    bool verify_on_finalize_ = true;
 };
 
 } // namespace pgss::workload

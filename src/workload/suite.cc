@@ -352,7 +352,6 @@ buildProgram(const WorkloadSpec &spec, double scale)
             repeats = scaled;
         }
 
-        b.markBlockStart();
         b.loadImm(regs::drv0, repeats);
         const std::uint32_t block_top = b.here();
         double block_ops = 0.0;
@@ -366,7 +365,6 @@ buildProgram(const WorkloadSpec &spec, double scale)
                 std::int64_t>(
                 1, std::llround(step.ops * residual / kc.ops_per_call)));
 
-            b.markBlockStart();
             b.loadImm(regs::drv1, calls);
             const std::uint32_t step_top = b.here();
             b.emit(isa::Opcode::Jal, regs::link, 0, 0,

@@ -77,8 +77,9 @@ TEST(Characteristics, PhaseCountFallsWithThreshold)
     for (double th : {0.01, 0.05, 0.125, 0.25, 0.49}) {
         const PhaseCharacteristics pc =
             phaseCharacteristics(profile(), th * M_PI);
-        if (!first)
+        if (!first) {
             EXPECT_LE(pc.n_phases, last);
+        }
         last = pc.n_phases;
         first = false;
     }

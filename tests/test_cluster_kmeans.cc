@@ -105,10 +105,12 @@ TEST(KMeans, RepresentativeIsNearestMember)
     for (std::uint32_t c = 0; c < 2; ++c) {
         const double rep_d =
             sq(points[r.representatives[c]], r.centroids[c]);
-        for (std::size_t i = 0; i < points.size(); ++i)
-            if (r.assignment[i] == c)
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            if (r.assignment[i] == c) {
                 EXPECT_GE(sq(points[i], r.centroids[c]) + 1e-12,
                           rep_d);
+            }
+        }
     }
 }
 

@@ -100,8 +100,9 @@ TEST(Pgss, SampleSpacingRespected)
     std::map<std::uint32_t, std::uint64_t> last;
     for (const core::SampleEvent &ev : r.timeline) {
         auto it = last.find(ev.phase_id);
-        if (it != last.end())
+        if (it != last.end()) {
             EXPECT_GE(ev.at_op - it->second, cfg.min_sample_spacing);
+        }
         last[ev.phase_id] = ev.at_op;
     }
 }

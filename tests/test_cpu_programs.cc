@@ -141,7 +141,6 @@ TEST(CpuProgramsDeathTest, RunawayPcPanics)
 {
     using isa::Opcode;
     workload::ProgramBuilder pb("runaway");
-    pb.setVerifyOnFinalize(false); // falling off the end is the point
     pb.emit(Opcode::Nop, 0, 0, 0, 0); // no halt: PC runs off the end
     isa::Program p = pb.finalize(0);
     mem::MainMemory memory(p.data_bytes);

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -30,6 +31,17 @@ asDouble(std::uint64_t b)
     return d;
 }
 
+/** Load @p program's initial data image into @p memory. */
+void
+loadImage(const isa::Program &program, mem::MainMemory &memory)
+{
+    if (!program.data_words.empty()) {
+        auto image = program.data_words;
+        image.resize(memory.words().size(), 0);
+        memory.setWords(std::move(image));
+    }
+}
+
 /** Run a tiny program and return the core for inspection. */
 struct MiniRun
 {
@@ -41,19 +53,32 @@ struct MiniRun
         : program(std::move(p)), memory(program.data_bytes),
           core(program, memory)
     {
-        if (!program.data_words.empty()) {
-            auto image = program.data_words;
-            image.resize(memory.words().size(), 0);
-            memory.setWords(std::move(image));
-        }
+        loadImage(program, memory);
     }
 
+    /**
+     * Run to halt with step(), then run the program again with the
+     * execute loop on a second core with its own memory: both paths
+     * must leave the same registers and memory.
+     */
     void
     runAll()
     {
         cpu::DynInst rec;
         while (core.step(rec)) {
         }
+
+        mem::MainMemory fast_memory(program.data_bytes);
+        loadImage(program, fast_memory);
+        cpu::FunctionalCore fast(program, fast_memory);
+        cpu::NoHooks hooks;
+        std::uint64_t since = 0;
+        fast.execute(std::numeric_limits<std::uint64_t>::max(), since,
+                     hooks);
+        EXPECT_EQ(fast.regs(), core.regs())
+            << "execute<NoHooks> and step() disagree on " << program.name;
+        EXPECT_EQ(fast_memory.words(), memory.words())
+            << "execute<NoHooks> and step() disagree on " << program.name;
     }
 };
 
@@ -61,7 +86,7 @@ struct MiniRun
 isa::Program
 binaryOpProgram(Opcode op, std::uint64_t a, std::uint64_t b)
 {
-    workload::ProgramBuilder pb("binop");
+    workload::ProgramBuilder pb(std::string(isa::mnemonic(op)));
     pb.loadImm(1, a);
     pb.loadImm(2, b);
     pb.emit(op, 3, 1, 2, 0);
@@ -96,8 +121,13 @@ TEST(CpuSemantics, Shifts)
     EXPECT_EQ(evalBinary(Opcode::Sra, static_cast<std::uint64_t>(-64),
                          3),
               static_cast<std::uint64_t>(-8));
-    // Shift amounts use only the low six bits.
+    // Shift amounts use only the low six bits, all six of them.
     EXPECT_EQ(evalBinary(Opcode::Sll, 1, 64 + 3), 8u);
+    EXPECT_EQ(evalBinary(Opcode::Sll, 1, 40), 1ull << 40);
+    EXPECT_EQ(evalBinary(Opcode::Srl, 1ull << 40, 40), 1u);
+    EXPECT_EQ(evalBinary(Opcode::Sra,
+                         static_cast<std::uint64_t>(-(1ll << 40)), 40),
+              static_cast<std::uint64_t>(-1));
 }
 
 TEST(CpuSemantics, SetLessThanIsSigned)
@@ -149,6 +179,8 @@ TEST(CpuSemantics, Immediates)
     pb.emit(Opcode::Ori, 3, 0, 0, 0x30);
     pb.emit(Opcode::Xori, 4, 3, 0, 0x11);
     pb.emit(Opcode::Slti, 5, 1, 0, 0);
+    pb.emit(Opcode::Ori, 6, 2, 0, 0x0f); // overlaps r2's set bits
+    pb.emit(Opcode::Nop, 0, 0, 0, 0);
     pb.emit(Opcode::Halt, 0, 0, 0, 0);
     MiniRun run(pb.finalize(0));
     run.runAll();
@@ -157,6 +189,7 @@ TEST(CpuSemantics, Immediates)
     EXPECT_EQ(run.core.reg(3), 0x30u);
     EXPECT_EQ(run.core.reg(4), 0x21u);
     EXPECT_EQ(run.core.reg(5), 1u); // -5 < 0
+    EXPECT_EQ(run.core.reg(6), 0xffu);
 }
 
 TEST(CpuSemantics, RegisterZeroIsHardwired)
@@ -205,7 +238,7 @@ TEST(CpuSemantics, BranchOutcomes)
         {Opcode::Bge, 5, 5, true},
     };
     for (const Case &c : cases) {
-        workload::ProgramBuilder pb("br");
+        workload::ProgramBuilder pb(std::string(isa::mnemonic(c.op)));
         pb.loadImm(1, static_cast<std::uint64_t>(c.a));
         pb.loadImm(2, static_cast<std::uint64_t>(c.b));
         const std::uint32_t br = pb.emitBranch(c.op, 1, 2);
@@ -224,7 +257,6 @@ TEST(CpuSemantics, BranchOutcomes)
 TEST(CpuSemantics, JalWritesLinkAndJumps)
 {
     workload::ProgramBuilder pb("jal");
-    pb.setVerifyOnFinalize(false); // skipped inst is unreachable
     pb.emit(Opcode::Jal, 1, 0, 0, 2); // jump over next inst
     pb.emit(Opcode::Addi, 3, 0, 0, 1);
     pb.emit(Opcode::Halt, 0, 0, 0, 0);
@@ -237,7 +269,6 @@ TEST(CpuSemantics, JalWritesLinkAndJumps)
 TEST(CpuSemantics, JalrJumpsThroughRegister)
 {
     workload::ProgramBuilder pb("jalr");
-    pb.setVerifyOnFinalize(false); // computed jump, no declared set
     pb.loadImm(2, 3);
     pb.emit(Opcode::Jalr, 1, 2, 0, 0); // to index 3
     pb.emit(Opcode::Addi, 3, 0, 0, 1);
@@ -251,7 +282,6 @@ TEST(CpuSemantics, JalrJumpsThroughRegister)
 TEST(CpuSemantics, HaltStopsExecution)
 {
     workload::ProgramBuilder pb("halt");
-    pb.setVerifyOnFinalize(false); // code after halt is unreachable
     pb.emit(Opcode::Halt, 0, 0, 0, 0);
     pb.emit(Opcode::Addi, 3, 0, 0, 1);
     MiniRun run(pb.finalize(0));

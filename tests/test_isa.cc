@@ -38,8 +38,9 @@ TEST_P(OpcodeSweep, BranchesReadBothSourcesAndWriteNothing)
 TEST_P(OpcodeSweep, MemoryOpsHaveMemoryClass)
 {
     const OpInfo &info = opInfo(op());
-    if (op() == Opcode::Ld)
+    if (op() == Opcode::Ld) {
         EXPECT_EQ(info.op_class, OpClass::MemRead);
+    }
     if (op() == Opcode::St) {
         EXPECT_EQ(info.op_class, OpClass::MemWrite);
         EXPECT_FALSE(info.writes_rd);

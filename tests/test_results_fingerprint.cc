@@ -5,10 +5,13 @@
  * (tests/data/results_fingerprint.txt). Performance refactors must
  * leave it unchanged; a deliberate behaviour change refreshes the
  * golden in the open. Per program it records the PGSS(1M, 0.05 pi)
- * CPI estimate, detailed ops, phase count and per-phase sample counts,
- * the SMARTS CPI estimate, and the cache and branch-unit counters after
- * a FunctionalWarm run to halt (RAS contents and statistics are not
- * part of checkpoints, so only these counters pin them).
+ * CPI estimate, detailed ops, phase count and per-phase sample counts;
+ * the SMARTS and TurboSMARTS CPI estimates; the SimPoint (100k ops,
+ * k=10) and Online SimPoint (500k ops, 0.1 pi) CPI estimates; the
+ * ground-truth CPI of a 100k-op interval profile; and the cache and
+ * branch-unit counters after a FunctionalWarm run to halt (RAS
+ * contents and statistics are not part of checkpoints, so only these
+ * counters pin them).
  *
  * On a mismatch the actual text is written into the build tree and the
  * failure message carries the command that refreshes the golden.
@@ -23,9 +26,13 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/interval_profile.hh"
 #include "core/pgss_controller.hh"
 #include "obs/stats.hh"
+#include "sampling/online_simpoint.hh"
+#include "sampling/simpoint_sampler.hh"
 #include "sampling/smarts.hh"
+#include "sampling/turbosmarts.hh"
 #include "sim/engine.hh"
 #include "workload/suite.hh"
 
@@ -86,7 +93,33 @@ fingerprint(const std::string &name)
     {
         sim::SimulationEngine engine(built.program);
         const sampling::SmartsRun s = sampling::runSmarts(engine);
-        os << "  smarts.est_cpi " << fmtDouble(s.result.est_cpi) << "\n";
+        os << "  smarts.est_cpi " << fmtDouble(s.result.est_cpi) << "\n"
+           << "  turbosmarts.est_cpi "
+           << fmtDouble(sampling::runTurboSmarts(s.sample_cpis).est_cpi)
+           << "\n";
+    }
+    {
+        // Built directly, not through the profile cache.
+        const analysis::IntervalProfile profile =
+            analysis::buildIntervalProfile(built.program, {}, 100'000);
+        std::uint64_t functional_ops = 0;
+        const auto bbvs = sampling::collectIntervalBbvs(
+            built.program, {}, 100'000, functional_ops);
+        sampling::SimPointConfig sp;
+        sp.interval_ops = 100'000;
+        sp.clusters = 10;
+        sampling::OnlineSimPointConfig osp;
+        osp.interval_ops = 500'000;
+        osp.threshold = 0.1 * M_PI;
+        os << "  simpoint.est_cpi "
+           << fmtDouble(sampling::runSimPointOnBbvs(bbvs, sp, profile,
+                                                    functional_ops)
+                            .result.est_cpi)
+           << "\n"
+           << "  online_simpoint.est_cpi "
+           << fmtDouble(sampling::runOnlineSimPoint(profile, osp).est_cpi)
+           << "\n"
+           << "  truth.cpi " << fmtDouble(profile.trueCpi()) << "\n";
     }
     {
         sim::SimulationEngine engine(built.program);

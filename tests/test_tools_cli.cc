@@ -231,38 +231,4 @@ TEST(ReportCli, MetricsOnMissingFileFails)
     EXPECT_EQ(res.exit_code, 1);
 }
 
-TEST(ReportCli, FindingsExitCodeFollowsErrorFindings)
-{
-    const std::string path = "/tmp/pgss_test_findings_" +
-                             std::to_string(::getpid()) + ".json";
-
-    // A real pgss_lint envelope: the suite lints free of errors, so
-    // rendering it exits 0.
-    RunResult res = run(toolPath("pgss_lint") +
-                        " 164.gzip --scale 0.02 --json");
-    ASSERT_EQ(res.exit_code, 0) << res.output;
-    std::ofstream(path) << res.output;
-    res = run(toolPath("pgss_report") + " findings " + path);
-    EXPECT_EQ(res.exit_code, 0) << res.output;
-    EXPECT_NE(res.output.find("pgss_lint findings"), std::string::npos)
-        << res.output;
-    EXPECT_NE(res.output.find("164.gzip: "), std::string::npos)
-        << res.output;
-
-    // One error-severity finding turns the exit code to 1.
-    std::ofstream(path)
-        << "{\"schema\":\"pgss-findings\",\"version\":2,"
-           "\"tool\":\"pgss_lint\",\"programs\":[{\"program\":"
-           "\"bad\",\"code_size\":3,\"errors\":1,\"warnings\":0,"
-           "\"findings\":[{\"code\":\"structure.falls-off-end\","
-           "\"severity\":\"error\",\"pc\":2,"
-           "\"message\":\"execution falls off the end\"}]}]}";
-    res = run(toolPath("pgss_report") + " findings " + path);
-    EXPECT_EQ(res.exit_code, 1) << res.output;
-    EXPECT_NE(res.output.find("error structure.falls-off-end @2"),
-              std::string::npos)
-        << res.output;
-    std::remove(path.c_str());
-}
-
 } // namespace

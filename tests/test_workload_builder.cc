@@ -1,8 +1,5 @@
 /** @file Tests for the program builder. */
 
-#include <algorithm>
-#include <cstdlib>
-
 #include <gtest/gtest.h>
 
 #include "workload/program_builder.hh"
@@ -106,36 +103,6 @@ TEST(Builder, LoadImmMaterialisesFullWidth)
               0xdeadbeefcafef00dull);
 }
 
-TEST(Builder, BasicBlockStartsAfterControlFlow)
-{
-    ProgramBuilder b("t");
-    b.emit(Opcode::Addi, 1, 0, 0, 1);           // 0
-    const std::uint32_t br = b.emitBranch(Opcode::Beq, 0, 0); // 1
-    b.emit(Opcode::Addi, 2, 0, 0, 2);           // 2: block start
-    b.patchTarget(br, 3);
-    b.emit(Opcode::Halt, 0, 0, 0, 0);           // 3
-    const isa::Program p = b.finalize(0);
-    // 0 is always a start; 2 follows the branch.
-    EXPECT_NE(std::find(p.bb_starts.begin(), p.bb_starts.end(), 0u),
-              p.bb_starts.end());
-    EXPECT_NE(std::find(p.bb_starts.begin(), p.bb_starts.end(), 2u),
-              p.bb_starts.end());
-    // Sorted and unique.
-    for (std::size_t i = 1; i < p.bb_starts.size(); ++i)
-        EXPECT_LT(p.bb_starts[i - 1], p.bb_starts[i]);
-}
-
-TEST(Builder, MarkBlockStartDeduplicates)
-{
-    ProgramBuilder b("t");
-    b.markBlockStart();
-    b.markBlockStart();
-    b.emit(Opcode::Halt, 0, 0, 0, 0);
-    const isa::Program p = b.finalize(0);
-    EXPECT_EQ(std::count(p.bb_starts.begin(), p.bb_starts.end(), 0u),
-              1);
-}
-
 TEST(BuilderDeathTest, FinalizeRejectsBadEntry)
 {
     ProgramBuilder b("t");
@@ -148,104 +115,4 @@ TEST(Builder, FinalizePropagatesName)
     ProgramBuilder b("my-workload");
     b.emit(Opcode::Halt, 0, 0, 0, 0);
     EXPECT_EQ(b.finalize(0).name, "my-workload");
-}
-
-TEST(Builder, AllocDataRecordsSegments)
-{
-    ProgramBuilder b("t");
-    const std::uint64_t a = b.allocData(48, 8, "nodes");
-    const std::uint64_t c = b.allocData(16, 8);
-    b.emit(Opcode::Halt, 0, 0, 0, 0);
-    const isa::Program p = b.finalize(0);
-    ASSERT_EQ(p.segments.size(), 2u);
-    EXPECT_EQ(p.segments[0].label, "nodes");
-    EXPECT_EQ(p.segments[0].base, a);
-    EXPECT_EQ(p.segments[0].bytes, 48u);
-    // Unnamed allocations pick a positional default.
-    EXPECT_EQ(p.segments[1].label, "seg1");
-    EXPECT_EQ(p.segments[1].base, c);
-}
-
-TEST(Builder, DeclareIndirectTargetsSortsAndDedups)
-{
-    ProgramBuilder b("t");
-    b.setVerifyOnFinalize(false); // the jalr block is unreachable
-    b.emit(Opcode::Jalr, 0, 5, 0, 0);
-    b.emit(Opcode::Halt, 0, 0, 0, 0);
-    b.declareIndirectTargets(0, {1, 0, 1});
-    const isa::Program p = b.finalize(1);
-    ASSERT_EQ(p.indirect_targets.size(), 1u);
-    EXPECT_EQ(p.indirect_targets[0].at, 0u);
-    EXPECT_EQ(p.indirect_targets[0].targets,
-              (std::vector<std::uint32_t>{0, 1}));
-}
-
-TEST(BuilderDeathTest, DeclareIndirectTargetsRejectsNonJalr)
-{
-    ProgramBuilder b("t");
-    b.emit(Opcode::Add, 1, 2, 3, 0);
-    EXPECT_DEATH(b.declareIndirectTargets(0, {0}), "non-indirect");
-}
-
-TEST(Builder, FinalizeDerivesReturnTargetSets)
-{
-    // sub:   0: Addi r2,r2,1
-    //        1: Jalr r0,r1,0        (return)
-    // entry: 2: Jal r1 -> 0         (call)
-    //        3: Jal r1 -> 0         (second call site)
-    //        4: Halt
-    ProgramBuilder b("t");
-    b.emit(Opcode::Addi, 2, 2, 0, 1);
-    b.emit(Opcode::Jalr, 0, regs::link, 0, 0);
-    b.emit(Opcode::Jal, regs::link, 0, 0, 0);
-    b.emit(Opcode::Jal, regs::link, 0, 0, 0);
-    b.emit(Opcode::Halt, 0, 0, 0, 0);
-    const isa::Program p = b.finalize(2);
-    ASSERT_EQ(p.indirect_targets.size(), 1u);
-    EXPECT_EQ(p.indirect_targets[0].at, 1u);
-    // All call-site continuations of the link register.
-    EXPECT_EQ(p.indirect_targets[0].targets,
-              (std::vector<std::uint32_t>{3, 4}));
-}
-
-TEST(Builder, ExplicitDeclarationSuppressesDerivation)
-{
-    ProgramBuilder b("t");
-    b.emit(Opcode::Jalr, 0, regs::link, 0, 0); // 0: return
-    b.emit(Opcode::Jal, regs::link, 0, 0, 0);  // 1: call -> 0
-    b.emit(Opcode::Halt, 0, 0, 0, 0);          // 2
-    b.declareIndirectTargets(0, {2});
-    const isa::Program p = b.finalize(1);
-    ASSERT_EQ(p.indirect_targets.size(), 1u);
-    EXPECT_EQ(p.indirect_targets[0].targets,
-              (std::vector<std::uint32_t>{2}));
-}
-
-TEST(BuilderDeathTest, VerifyHookRejectsErrorFindings)
-{
-    // With PGSS_VERIFY_PROGRAMS forced on, finalize() runs the static
-    // verifier and panics on error-severity findings — here a jump
-    // over an unreachable instruction.
-    EXPECT_DEATH(
-        {
-            setenv("PGSS_VERIFY_PROGRAMS", "1", 1);
-            ProgramBuilder bad("bad");
-            bad.emit(Opcode::Jal, 0, 0, 0, 2); // 0: jump -> 2
-            bad.emit(Opcode::Addi, 2, 0, 0, 1); // 1: unreachable
-            bad.emit(Opcode::Halt, 0, 0, 0, 0); // 2
-            bad.finalize(0);
-        },
-        "error-severity");
-}
-
-TEST(Builder, VerifyHookPassesCleanPrograms)
-{
-    // Forcing the hook on must not reject a well-formed program.
-    setenv("PGSS_VERIFY_PROGRAMS", "1", 1);
-    ProgramBuilder b("good");
-    b.emit(Opcode::Addi, 2, 0, 0, 1);
-    b.emit(Opcode::Halt, 0, 0, 0, 0);
-    const isa::Program p = b.finalize(0);
-    unsetenv("PGSS_VERIFY_PROGRAMS");
-    EXPECT_EQ(p.code.size(), 2u);
 }

@@ -102,8 +102,6 @@ TEST_P(KernelSweep, OpsPerCallEstimateAccurate)
 TEST_P(KernelSweep, DeterministicEmission)
 {
     ProgramBuilder a("a"), b("b");
-    a.setVerifyOnFinalize(false); // kernel-only: return never called
-    b.setVerifyOnFinalize(false);
     const KernelCode ka = emitKernel(a, specFor(kind()));
     const KernelCode kb = emitKernel(b, specFor(kind()));
     EXPECT_EQ(ka.entry, kb.entry);
@@ -132,21 +130,25 @@ TEST(ChaseKernel, CursorSaveExecutes)
     // Each call must resume the walk where the previous one stopped:
     // the cursor word is rewritten at the end of every call. (The
     // seed emitted the cursor save after the kernel's return, so the
-    // walk restarted from the same node every call — the progcheck
-    // regression in test_progcheck_passes.cc pins the finding.)
+    // walk restarted from the same node every call.)
     KernelSpec spec = specFor(KernelKind::Chase);
     spec.footprint_bytes = 1024; // 128 nodes, cycle length 128
     spec.inner_iters = 5;        // walk 5 of them per call
     double opc = 0.0;
     const isa::Program p = wrapKernel(spec, 2, opc);
 
-    const auto seg = std::find_if(
-        p.segments.begin(), p.segments.end(),
-        [](const isa::DataSegment &s) {
-            return s.label == "chase.cursor";
-        });
-    ASSERT_NE(seg, p.segments.end());
-    const std::uint64_t slot = seg->base / 8;
+    // The driver calls the kernel, whose first instruction loads the
+    // cursor's address.
+    const auto call = std::find_if(
+        p.code.begin() + static_cast<std::ptrdiff_t>(p.entry),
+        p.code.end(),
+        [](const isa::Instruction &i) { return i.op == Opcode::Jal; });
+    ASSERT_NE(call, p.code.end());
+    const isa::Instruction &load_cursor =
+        p.code[static_cast<std::size_t>(call->imm)];
+    ASSERT_EQ(load_cursor.op, Opcode::Lui);
+    const std::uint64_t slot =
+        static_cast<std::uint64_t>(load_cursor.imm) / 8;
     const std::uint64_t initial = p.data_words[slot];
 
     mem::MainMemory memory(p.data_bytes);
@@ -171,7 +173,6 @@ TEST(ChaseKernel, CursorSaveExecutes)
 TEST(ChaseKernel, PermutationIsOneFullCycle)
 {
     ProgramBuilder b("chase");
-    b.setVerifyOnFinalize(false); // kernel-only: return never called
     KernelSpec spec = specFor(KernelKind::Chase);
     spec.footprint_bytes = 1024; // 128 slots
     emitKernel(b, spec);
@@ -196,7 +197,6 @@ TEST(BranchyKernel, BiasControlsTakenFraction)
 {
     for (double bias : {0.2, 0.8}) {
         ProgramBuilder b("branchy");
-        b.setVerifyOnFinalize(false); // kernel-only fixture
         KernelSpec spec = specFor(KernelKind::Branchy);
         spec.taken_bias = bias;
         spec.footprint_bytes = 32 * 1024; // 4096 elements
@@ -233,8 +233,6 @@ TEST(Kernels, KindNamesDistinct)
 TEST(Kernels, DifferentSeedsDifferentData)
 {
     ProgramBuilder a("a"), b("b");
-    a.setVerifyOnFinalize(false); // kernel-only fixtures
-    b.setVerifyOnFinalize(false);
     KernelSpec sa = specFor(KernelKind::Branchy);
     KernelSpec sb = sa;
     sb.seed = sa.seed + 1;

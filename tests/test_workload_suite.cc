@@ -1,9 +1,16 @@
 /** @file Tests for the synthetic SPEC2000-analogue suite. */
 
+#include <cctype>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cpu/functional_core.hh"
+#include "mem/main_memory.hh"
 #include "sim/engine.hh"
+#include "workload/program_builder.hh"
 #include "workload/suite.hh"
 
 using namespace pgss;
@@ -117,13 +124,19 @@ TEST(Suite, WorkloadsHaveDistinctIpc)
 
 TEST(Suite, PhasesCarryDistinctCode)
 {
-    // Each kernel instance owns its own basic blocks: with at least
-    // two instances there are at least two loop-back branch PCs.
+    // Each kernel instance owns its own code: the kernels, emitted
+    // before the driver, hold one loop-back branch (a branch whose
+    // target is at or before it) per instance.
     const WorkloadSpec spec = workloadSpec("183.equake");
     EXPECT_GE(spec.instances.size(), 2u);
     const BuiltWorkload built = buildProgram(spec, tiny);
-    EXPECT_GE(built.program.bb_starts.size(),
-              2 * spec.instances.size());
+    std::size_t loop_backs = 0;
+    for (std::uint64_t pc = 0; pc < built.program.entry; ++pc) {
+        const isa::Instruction &inst = built.program.code[pc];
+        loop_backs += inst.info().is_branch &&
+                      static_cast<std::uint64_t>(inst.imm) <= pc;
+    }
+    EXPECT_GE(loop_backs, spec.instances.size());
 }
 
 TEST(Suite, ArtHasFineGrainedOscillation)
@@ -142,4 +155,169 @@ TEST(Suite, ArtHasFineGrainedOscillation)
 TEST(SuiteDeathTest, NonPositiveScalePanics)
 {
     EXPECT_DEATH(buildWorkload("164.gzip", 0.0), "positive");
+}
+
+// The suite lint: every evaluation workload, at every input set and
+// at build scales around the figures' default (0.5x-2x), must build a
+// well-formed program. It is checked by execution, not by static
+// analysis. A run at these scales costs ~1e8 ops, but the scale only
+// changes the trip counts the driver loads into its counter registers,
+// so a figure-scale build must equal the test-scale build of the same
+// input except for those counts, and the test-scale build is run to
+// Halt: the execute loop panics on a pc outside the code and on an
+// unaligned or out-of-range access, and the lint adds call/return
+// pairing, halting outside every call and reaching every instruction.
+
+namespace
+{
+
+struct SuiteCase
+{
+    std::string name;
+    std::uint32_t input;
+    double scale;
+};
+
+std::vector<SuiteCase>
+allCases()
+{
+    std::vector<SuiteCase> cases;
+    for (const std::string &name : suiteNames()) {
+        for (std::uint32_t input = 0; input < num_inputs; ++input) {
+            for (double scale : {0.5, 1.0, 2.0})
+                cases.push_back({name, input, scale});
+        }
+    }
+    return cases;
+}
+
+/** Records the pcs that run and pairs every return with its call. */
+struct LintHooks : cpu::NoHooks
+{
+    std::vector<bool> reached;
+    std::vector<std::uint64_t> open_calls; ///< return pc of each call
+    std::uint64_t unpaired = 0;            ///< returns to no open call
+    std::string first_unpaired;
+
+    void fetch(std::uint64_t pc) { reached[pc] = true; }
+
+    void control(std::uint64_t pc, std::uint64_t target, bool /*taken*/,
+                 cpu::ControlKind kind)
+    {
+        if (kind == cpu::ControlKind::Call) {
+            open_calls.push_back(pc + 1);
+        } else if (kind == cpu::ControlKind::Return) {
+            if (!open_calls.empty() && open_calls.back() == target)
+                open_calls.pop_back();
+            else if (unpaired++ == 0)
+                first_unpaired = "pc " + std::to_string(pc) +
+                                 " returns to " + std::to_string(target);
+        }
+    }
+};
+
+/**
+ * Findings against @p prog, built at a figure scale, given @p ref,
+ * the test-scale build of the same workload and input. Empty when
+ * clean.
+ */
+std::vector<std::string>
+lint(const isa::Program &prog, const BuiltWorkload &ref)
+{
+    std::vector<std::string> findings;
+    const isa::Program &rp = ref.program;
+    if (prog.code.size() != rp.code.size() || prog.entry != rp.entry ||
+        prog.data_words != rp.data_words) {
+        findings.push_back("layout differs from the test-scale build");
+        return findings;
+    }
+    for (std::uint64_t pc = 0; pc < prog.code.size(); ++pc) {
+        const isa::Instruction &a = prog.code[pc];
+        const isa::Instruction &b = rp.code[pc];
+        const bool trip_count =
+            a.op == isa::Opcode::Lui &&
+            (a.rd == regs::drv0 || a.rd == regs::drv1);
+        if (a.op != b.op || a.rd != b.rd || a.rs1 != b.rs1 ||
+            a.rs2 != b.rs2 || (a.imm != b.imm && !trip_count)) {
+            findings.push_back("differs from the test-scale build: " +
+                               isa::disassemble(a, pc));
+        } else if (trip_count && a.imm < 1) {
+            findings.push_back("trip count below one: " +
+                               isa::disassemble(a, pc));
+        }
+    }
+
+    mem::MainMemory memory(rp.data_bytes);
+    std::vector<std::uint64_t> image = rp.data_words;
+    image.resize(memory.words().size(), 0);
+    memory.setWords(std::move(image));
+    cpu::FunctionalCore core(rp, memory);
+    LintHooks hooks;
+    hooks.reached.assign(rp.code.size(), false);
+    std::uint64_t since = 0;
+    std::uint64_t ops = 0;
+    const double budget = 2.0 * ref.estimated_ops;
+    while (!core.halted() && static_cast<double>(ops) < budget)
+        ops += core.execute(1u << 20, since, hooks);
+    if (!core.halted())
+        findings.push_back("no Halt within " + std::to_string(ops) +
+                           " ops");
+    if (!hooks.open_calls.empty())
+        findings.push_back("halts inside " +
+                           std::to_string(hooks.open_calls.size()) +
+                           " open call(s)");
+    for (std::uint64_t pc = 0; pc < rp.code.size(); ++pc) {
+        if (!hooks.reached[pc])
+            findings.push_back("never executes: " +
+                               isa::disassemble(rp.code[pc], pc));
+    }
+    if (hooks.unpaired != 0)
+        findings.push_back(std::to_string(hooks.unpaired) +
+                           " return(s) pair with no open call; first: " +
+                           hooks.first_unpaired);
+    return findings;
+}
+
+} // namespace
+
+class SuiteLint : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SuiteLint, NoErrorFindings)
+{
+    const SuiteCase c = allCases()[static_cast<std::size_t>(GetParam())];
+    SCOPED_TRACE(c.name + " input=" + std::to_string(c.input) +
+                 " scale=" + std::to_string(c.scale));
+    const BuiltWorkload built = buildWorkload(c.name, c.scale, c.input);
+    // Non-default inputs suffix the program name ("256.bzip2.in1").
+    EXPECT_EQ(built.program.name.rfind(c.name, 0), 0u);
+    EXPECT_GT(built.program.code.size(), 0u);
+    for (const std::string &f :
+         lint(built.program, buildWorkload(c.name, tiny, c.input)))
+        ADD_FAILURE() << f;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, SuiteLint,
+    ::testing::Range(0, static_cast<int>(allCases().size())),
+    [](const ::testing::TestParamInfo<int> &info) {
+        const SuiteCase c =
+            allCases()[static_cast<std::size_t>(info.param)];
+        std::string tag = c.name + "_in" + std::to_string(c.input) +
+                          "_x" + std::to_string(
+                                     static_cast<int>(c.scale * 10));
+        for (char &ch : tag) {
+            if (!std::isalnum(static_cast<unsigned char>(ch)))
+                ch = '_';
+        }
+        return tag;
+    });
+
+TEST(SuiteLint, WupwiseVerifiesClean)
+{
+    const BuiltWorkload built = buildWorkload("wupwise", 1.0, 0);
+    for (const std::string &f :
+         lint(built.program, buildWorkload("wupwise", tiny, 0)))
+        ADD_FAILURE() << f;
 }

@@ -18,22 +18,16 @@
  *                                         observability artefacts;
  *                                         the perf gate is
  *                                         pgss_bench_history check)
- *   pgss_report findings f.json           render a pgss-findings
- *                                         envelope (pgss_lint --json);
- *                                         exit 1 on error findings
  *
  * All output is plain text so it survives CI logs and grep.
  */
 
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "obs/analyze.hh"
-#include "obs/json_read.hh"
 #include "obs/prometheus.hh"
 
 namespace
@@ -51,8 +45,7 @@ usage()
         << "       pgss_report profile <report.json> [--top=N]\n"
         << "       pgss_report profile <a.json> <b.json>\n"
         << "       pgss_report metrics <report.json>\n"
-        << "       pgss_report check <report.json>\n"
-        << "       pgss_report findings <findings.json>\n";
+        << "       pgss_report check <report.json>\n";
     return 2;
 }
 
@@ -157,89 +150,6 @@ cmdCheck(const std::string &report_path)
     return 0;
 }
 
-/**
- * Render a pgss-findings envelope — the JSON schema emitted by
- * pgss_lint --json. Exit 1 when any program reports an error.
- */
-int
-cmdFindings(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::cerr << "pgss_report: cannot open '" << path << "'\n";
-        return 1;
-    }
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    pgss::obs::JsonValue doc;
-    std::string err;
-    if (!pgss::obs::parseJson(text, doc, &err)) {
-        std::cerr << "pgss_report: " << path << ": " << err << "\n";
-        return 1;
-    }
-    const pgss::obs::JsonValue *schema = doc.get("schema");
-    if (!doc.isObject() || schema == nullptr ||
-        schema->string != "pgss-findings") {
-        std::cerr << "pgss_report: '" << path
-                  << "' is not a pgss-findings artifact\n";
-        return 1;
-    }
-    const pgss::obs::JsonValue *tool = doc.get("tool");
-    const pgss::obs::JsonValue *version = doc.get("version");
-    std::cout << (tool != nullptr ? tool->string : "<unknown tool>")
-              << " findings (schema v"
-              << (version != nullptr ? version->asUint() : 0)
-              << ")\n";
-
-    std::uint64_t total_errors = 0;
-    std::uint64_t total_warnings = 0;
-    const pgss::obs::JsonValue *programs = doc.get("programs");
-    if (programs != nullptr && programs->isArray()) {
-        for (const pgss::obs::JsonValue &p : programs->array) {
-            const pgss::obs::JsonValue *name = p.get("program");
-            const pgss::obs::JsonValue *code = p.get("code_size");
-            const std::uint64_t errors =
-                p.get("errors") != nullptr ? p.get("errors")->asUint()
-                                           : 0;
-            const std::uint64_t warnings =
-                p.get("warnings") != nullptr
-                    ? p.get("warnings")->asUint()
-                    : 0;
-            total_errors += errors;
-            total_warnings += warnings;
-
-            std::cout << (name != nullptr ? name->string : "<unnamed>")
-                      << ": ";
-            if (code != nullptr)
-                std::cout << code->asUint() << " instructions, ";
-            std::cout << errors << " error(s), " << warnings
-                      << " warning(s)\n";
-
-            const pgss::obs::JsonValue *findings = p.get("findings");
-            if (findings == nullptr || !findings->isArray())
-                continue;
-            for (const pgss::obs::JsonValue &f : findings->array) {
-                const pgss::obs::JsonValue *sev = f.get("severity");
-                const pgss::obs::JsonValue *fcode = f.get("code");
-                const pgss::obs::JsonValue *pc = f.get("pc");
-                const pgss::obs::JsonValue *msg = f.get("message");
-                std::cout << "  "
-                          << (sev != nullptr ? sev->string : "?")
-                          << " "
-                          << (fcode != nullptr ? fcode->string : "?");
-                std::cout << " @"
-                          << (pc != nullptr ? pc->asUint() : 0)
-                          << ": "
-                          << (msg != nullptr ? msg->string : "")
-                          << "\n";
-            }
-        }
-    }
-    std::cout << total_errors << " error(s), " << total_warnings
-              << " warning(s) total\n";
-    return total_errors > 0 ? 1 : 0;
-}
-
 } // anonymous namespace
 
 int
@@ -262,8 +172,6 @@ main(int argc, char **argv)
     }
     if (args[0] == "check")
         return args.size() == 2 ? cmdCheck(args[1]) : usage();
-    if (args[0] == "findings")
-        return args.size() == 2 ? cmdFindings(args[1]) : usage();
     if (args[0] == "metrics")
         return args.size() == 2 ? cmdMetrics(args[1]) : usage();
     if (args[0] == "show")
