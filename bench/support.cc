@@ -322,7 +322,6 @@ measureRate(const workload::BuiltWorkload &built, const RateSpec &spec)
     const auto fresh = [&] {
         auto engine = std::make_unique<sim::SimulationEngine>(
             built.program, benchConfig());
-        engine->setFastPathEnabled(spec.fast_path);
         engine->setHashedBbvEnabled(spec.bbv);
         return engine;
     };

@@ -125,8 +125,7 @@ bool decodeDoubles(const std::string &payload,
 struct RateSpec
 {
     sim::SimMode mode = sim::SimMode::FunctionalFast;
-    bool bbv = false;      ///< hashed BBV on, harvested every chunk
-    bool fast_path = true; ///< false: the step() oracle loops
+    bool bbv = false; ///< hashed BBV on, harvested every chunk
 };
 
 /**

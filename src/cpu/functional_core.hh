@@ -5,18 +5,15 @@
  * This is the always-on layer; every simulation mode runs it, and the
  * warming and timing layers observe what it retires.
  *
- * Two execution paths share the architectural state:
- *
- *  - execute<Hooks>(): the production loop, over a flat table
- *    pre-decoded once per program (operands, immediates, and the
- *    branch unit's call/return class resolved at table build). Each
- *    simulation mode passes a hook set that the loop calls, fully
- *    inlined, at fixed points of every op: fetch (pc), memory access,
- *    control transfer, retire and taken branch (BBV). DESIGN.md
- *    section 9.1 describes the hooks and the exactness contract.
- *  - step(): execute one instruction and fill a DynInst record. It
- *    restates the semantics independently and is the differential
- *    oracle the execute loop is tested against.
+ * One loop, execute<Hooks>(), defines every opcode. It walks a flat
+ * table pre-decoded once per program (operands, immediates, and the
+ * branch unit's call/return class resolved at table build). Each
+ * simulation mode passes a hook set that the loop calls, fully
+ * inlined, at fixed points of every op: fetch (pc), memory access,
+ * control transfer, retire and taken branch (BBV). step() runs the
+ * loop for one op with RecordHooks and hands back the op's DynInst
+ * record. DESIGN.md section 9.1 describes the hooks and the tests
+ * that pin them.
  */
 
 #ifndef PGSS_CPU_FUNCTIONAL_CORE_HH
@@ -125,6 +122,35 @@ struct NoHooks
 };
 
 /**
+ * The execute() hook set that fills one DynInst per op from the per-pc
+ * templates (FunctionalCore::decodedInsts()): fetch copies the
+ * template, memory sets mem_addr, control sets taken and retire sets
+ * next_pc. step() runs it for one op; the detailed modes extend its
+ * retire to feed the timing model.
+ */
+struct RecordHooks : NoHooks
+{
+    const DynInst *decoded; ///< per-pc templates
+    DynInst rec{};
+
+    void fetch(std::uint64_t pc) { rec = decoded[pc]; }
+    void memory(std::uint64_t addr, bool) { rec.mem_addr = addr; }
+
+    void
+    control(std::uint64_t /*pc*/, std::uint64_t /*target*/, bool taken,
+            ControlKind /*kind*/)
+    {
+        rec.taken = taken;
+    }
+
+    void
+    retire(std::uint64_t /*pc*/, std::uint64_t next_pc)
+    {
+        rec.next_pc = next_pc;
+    }
+};
+
+/**
  * Executes one program against one memory image. The core never
  * allocates on the execution path; step() fills a caller-provided
  * DynInst record.
@@ -142,7 +168,8 @@ class FunctionalCore
                    std::uint8_t link_reg = 1);
 
     /**
-     * Execute the instruction at the current PC.
+     * Execute the instruction at the current PC: one op of execute()
+     * with RecordHooks.
      * @param[out] rec retired-instruction record.
      * @return false once the program has executed Halt (the halting
      *         Halt itself returns true; subsequent calls return false
@@ -165,9 +192,9 @@ class FunctionalCore
                           Hooks &hooks);
 
     /**
-     * The per-pc DynInst templates: every field step() derives from
-     * the instruction alone, with taken, next_pc and mem_addr left at
-     * their defaults for a hook to fill.
+     * The per-pc DynInst templates: every field of the record that
+     * follows from the instruction alone, with taken, next_pc and
+     * mem_addr left at their defaults for RecordHooks to fill.
      */
     const DynInst *decodedInsts();
 
@@ -185,9 +212,6 @@ class FunctionalCore
 
     /** Read architectural register @p r. */
     std::uint64_t reg(int r) const { return regs_[r]; }
-
-    /** Write architectural register @p r (writes to r0 are ignored). */
-    void setReg(int r, std::uint64_t v);
 
     /** Whole register file, for checkpointing. */
     const std::array<std::uint64_t, isa::num_regs> &regs() const

@@ -1,8 +1,8 @@
 /**
  * @file
- * Flat data memory for a simulated program. Word-addressed internally
- * (64-bit words) but exposed with byte addresses to match the ISA's
- * load/store semantics; accesses must be 8-byte aligned.
+ * Flat data memory for a simulated program: 64-bit words. The ISA
+ * addresses it by byte; cpu::FunctionalCore::execute() turns an
+ * 8-byte-aligned byte address into a word index.
  */
 
 #ifndef PGSS_MEM_MAIN_MEMORY_HH
@@ -16,21 +16,16 @@ namespace pgss::mem
 
 /**
  * Program data memory. Size is fixed at construction from the
- * program's declared data footprint. Out-of-range accesses panic: the
- * workload generator is supposed to produce well-formed programs, so a
- * stray access is a simulator bug, not a user error.
+ * program's declared data footprint. The execute loop's loads and
+ * stores panic on an unaligned or out-of-range address: the workload
+ * generator is supposed to produce well-formed programs, so a stray
+ * access is a simulator bug, not a user error.
  */
 class MainMemory
 {
   public:
     /** Allocate @p bytes of zeroed memory (rounded up to words). */
     explicit MainMemory(std::uint64_t bytes);
-
-    /** Load the 64-bit word at byte address @p addr. */
-    std::uint64_t read(std::uint64_t addr) const;
-
-    /** Store @p value at byte address @p addr. */
-    void write(std::uint64_t addr, std::uint64_t value);
 
     /** Capacity in bytes. */
     std::uint64_t sizeBytes() const { return words_.size() * 8; }
@@ -41,8 +36,10 @@ class MainMemory
     /** Replace the word storage, for checkpoint restore. */
     void setWords(std::vector<std::uint64_t> w);
 
-    // Fast-path access (cpu::FunctionalCore::execute): raw storage.
-    // Callers must bounds-check as read()/write() do.
+    /**
+     * Writable word storage for cpu::FunctionalCore::execute(), whose
+     * Ld and St check alignment and range before every access.
+     */
     std::uint64_t *rawWords() { return words_.data(); }
 
   private:

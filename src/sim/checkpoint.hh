@@ -4,9 +4,9 @@
  * needed to continue execution bit-identically: architectural state,
  * the data-memory image, cache tags, and branch-predictor tables.
  * SimulationEngine::checkpoint() takes one and restore() puts it back;
- * operator== compares two snapshots field by field, which is how the
- * differential tests check the execute loop against step(). Snapshots
- * are never written to disk (DESIGN.md section 9.3).
+ * operator== compares two snapshots field by field, e.g. a restored
+ * run with the continuous one. Snapshots are never written to disk
+ * (DESIGN.md section 9.3).
  */
 
 #ifndef PGSS_SIM_CHECKPOINT_HH

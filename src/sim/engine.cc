@@ -74,7 +74,10 @@ struct WarmHooks : cpu::NoHooks
     std::uint32_t line_shift; ///< log2(L1I line bytes)
     std::uint64_t fetch_line; ///< the engine's warm_fetch_line_
 
-    /** Warm the L1I once per fetch-line change, as step()'s loop does. */
+    /**
+     * Warm the L1I once per fetch-line change; the line carries across
+     * calls in warm_fetch_line_.
+     */
     void
     fetch(std::uint64_t pc)
     {
@@ -100,26 +103,15 @@ struct WarmHooks : cpu::NoHooks
     }
 };
 
-/** DetailedWarm/Measure: a DynInst per op into the timing model. */
-struct DetailedHooks : cpu::NoHooks
+/** DetailedWarm/Measure: each op's DynInst into the timing model. */
+struct DetailedHooks : cpu::RecordHooks
 {
     timing::InOrderPipeline &pipeline;
-    const cpu::DynInst *decoded; ///< per-pc templates
-    cpu::DynInst rec{};
-
-    void fetch(std::uint64_t pc) { rec = decoded[pc]; }
-    void memory(std::uint64_t addr, bool) { rec.mem_addr = addr; }
 
     void
-    control(std::uint64_t, std::uint64_t, bool taken, cpu::ControlKind)
+    retire(std::uint64_t pc, std::uint64_t next_pc)
     {
-        rec.taken = taken;
-    }
-
-    void
-    retire(std::uint64_t, std::uint64_t next_pc)
-    {
-        rec.next_pc = next_pc;
+        RecordHooks::retire(pc, next_pc);
         pipeline.consume(rec);
     }
 };
@@ -190,26 +182,13 @@ SimulationEngine::SimulationEngine(const isa::Program &program,
         config.pipeline, *hierarchy_, *branch_unit_);
 }
 
-void
-SimulationEngine::trackBbv(const cpu::DynInst &rec)
-{
-    ++ops_since_taken_;
-    if (!rec.taken)
-        return;
-    const std::uint64_t addr = isa::instAddr(rec.pc);
-    if (hashed_bbv_enabled_)
-        hashed_bbv_.onTakenBranch(addr, ops_since_taken_);
-    if (full_bbv_enabled_)
-        full_bbv_.onTakenBranch(addr, ops_since_taken_);
-    ops_since_taken_ = 0;
-}
-
 template <typename Run>
 std::uint64_t
 SimulationEngine::withBbv(Run &&run)
 {
-    // With no tracker on, the reference loops leave ops_since_taken_
-    // alone, so the loop counts into a scratch variable.
+    // With no tracker on, the pending count ops_since_taken_ stays as
+    // it is (a tracker turned on later resumes from it), so the loop
+    // counts into a scratch variable.
     if (!hashed_bbv_enabled_ && !full_bbv_enabled_) {
         std::uint64_t untracked = 0;
         return run(NoBbv{}, untracked);
@@ -250,55 +229,11 @@ SimulationEngine::execute(std::uint64_t n, SimMode mode)
       case SimMode::DetailedMeasure:
         return withBbv([&](auto bbv, std::uint64_t &since) {
             WithBbv<DetailedHooks, decltype(bbv)> hooks{
-                {{}, *pipeline_, core.decodedInsts()}, bbv};
+                {{{}, core.decodedInsts()}, *pipeline_}, bbv};
             return core.execute(n, since, hooks);
         });
     }
     return 0;
-}
-
-template <bool with_bbv>
-std::uint64_t
-SimulationEngine::runFunctional(std::uint64_t n, bool warm)
-{
-    cpu::DynInst rec;
-    const std::uint32_t line_bytes = config_.hierarchy.l1i.line_bytes;
-    const std::uint32_t bytes_per_inst = config_.pipeline.bytes_per_inst;
-    std::uint64_t done = 0;
-
-    while (done < n && core_->step(rec)) {
-        ++done;
-        if (warm) {
-            const std::uint64_t line =
-                rec.pc * bytes_per_inst / line_bytes;
-            if (line != warm_fetch_line_) {
-                warm_fetch_line_ = line;
-                hierarchy_->warmInst(rec.pc * bytes_per_inst);
-            }
-            if (rec.is_load || rec.is_store)
-                hierarchy_->warmData(rec.mem_addr, rec.is_store);
-            if (rec.is_branch || rec.is_jump)
-                branch_unit_->predictAndTrain(rec);
-        }
-        if constexpr (with_bbv)
-            trackBbv(rec);
-    }
-    return done;
-}
-
-template <bool with_bbv>
-std::uint64_t
-SimulationEngine::runDetailed(std::uint64_t n)
-{
-    cpu::DynInst rec;
-    std::uint64_t done = 0;
-    while (done < n && core_->step(rec)) {
-        ++done;
-        pipeline_->consume(rec);
-        if constexpr (with_bbv)
-            trackBbv(rec);
-    }
-    return done;
 }
 
 RunResult
@@ -310,7 +245,6 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
         pipeline_->resync();
     last_was_detailed_ = detailed;
 
-    const bool bbv = hashed_bbv_enabled_ || full_bbv_enabled_;
     const std::uint64_t cycles_before = pipeline_->cycles();
 
     // One span per run() chunk (>= a sample window of work, never
@@ -322,15 +256,7 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
                          detailed ? obs::SpanCat::Detailed
                                   : obs::SpanCat::Ff);
 
-    const bool warm = mode == SimMode::FunctionalWarm;
-    std::uint64_t done = 0;
-    if (fast_path_enabled_)
-        done = execute(n, mode);
-    else if (detailed)
-        done = bbv ? runDetailed<true>(n) : runDetailed<false>(n);
-    else
-        done = bbv ? runFunctional<true>(n, warm)
-                   : runFunctional<false>(n, warm);
+    const std::uint64_t done = execute(n, mode);
 
     switch (mode) {
       case SimMode::FunctionalFast:

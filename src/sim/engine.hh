@@ -13,9 +13,10 @@
  *  - DetailedMeasure: full timing, statistics recorded (the 1,000-op
  *    measured window).
  *
- * The engine accounts instructions per mode — that accounting is what
- * Figures 12 and 13 are built from — and hosts the BBV trackers that
- * fast-forwarding feeds.
+ * Every mode runs the functional core's execute loop with that mode's
+ * hooks (DESIGN.md section 9.1). The engine accounts instructions per
+ * mode — that accounting is what Figures 12 and 13 are built from —
+ * and hosts the BBV trackers that fast-forwarding feeds.
  */
 
 #ifndef PGSS_SIM_ENGINE_HH
@@ -160,17 +161,6 @@ class SimulationEngine
     /** Restore a snapshot captured on this program/config. */
     void restore(const Checkpoint &ckpt);
 
-    /**
-     * Enable/disable the FastOp execute loop (on by default). Every
-     * mode then falls back to the step() interpreter and its DynInst
-     * loops, the reference the loop is tested against — only useful
-     * for differential testing.
-     */
-    void setFastPathEnabled(bool enabled)
-    {
-        fast_path_enabled_ = enabled;
-    }
-
     const isa::Program &program() const { return program_; }
     const EngineConfig &config() const { return config_; }
     cpu::FunctionalCore &core() { return *core_; }
@@ -184,14 +174,6 @@ class SimulationEngine
     template <typename Run>
     std::uint64_t withBbv(Run &&run);
 
-    // The step() reference loops (setFastPathEnabled(false)).
-    template <bool with_bbv>
-    std::uint64_t runFunctional(std::uint64_t n, bool warm);
-    template <bool with_bbv>
-    std::uint64_t runDetailed(std::uint64_t n);
-
-    void trackBbv(const cpu::DynInst &rec);
-
     const isa::Program &program_;
     EngineConfig config_;
     std::unique_ptr<mem::MainMemory> memory_;
@@ -204,7 +186,6 @@ class SimulationEngine
     bbv::FullBbvCollector full_bbv_;
     bool hashed_bbv_enabled_ = false;
     bool full_bbv_enabled_ = false;
-    bool fast_path_enabled_ = true;
     std::uint64_t ops_since_taken_ = 0;
 
     std::uint64_t warm_fetch_line_ = ~0ull;

@@ -106,7 +106,7 @@ TEST(CpuPrograms, MemoryReverseArray)
     Runner r(pb.finalize(0));
     r.runAll();
     for (int i = 0; i < n; ++i)
-        EXPECT_EQ(r.memory.read(dst + i * 8),
+        EXPECT_EQ(r.memory.words()[dst / 8 + i],
                   static_cast<std::uint64_t>(100 + n - 1 - i));
 }
 

@@ -6,12 +6,13 @@
  * leave it unchanged; a deliberate behaviour change refreshes the
  * golden in the open. Per program it records the PGSS(1M, 0.05 pi)
  * CPI estimate, detailed ops, phase count and per-phase sample counts;
- * the SMARTS and TurboSMARTS CPI estimates; the SimPoint (100k ops,
- * k=10) and Online SimPoint (500k ops, 0.1 pi) CPI estimates; the
- * ground-truth CPI of a 100k-op interval profile; and the cache and
- * branch-unit counters after a FunctionalWarm run to halt (RAS
- * contents and statistics are not part of checkpoints, so only these
- * counters pin them).
+ * the SMARTS and TurboSMARTS CPI estimates, and TurboSMARTS's estimate
+ * and sample count at a looser target that stops it early; the
+ * SimPoint (100k ops, k=10) and Online SimPoint (500k ops, 0.1 pi) CPI
+ * estimates; the ground-truth CPI of a 100k-op interval profile; and
+ * the cache and branch-unit counters after a FunctionalWarm run to
+ * halt (RAS contents and statistics are not part of checkpoints, so
+ * only these counters pin them).
  *
  * On a mismatch the actual text is written into the build tree and the
  * failure message carries the command that refreshes the golden.
@@ -93,10 +94,22 @@ fingerprint(const std::string &name)
     {
         sim::SimulationEngine engine(built.program);
         const sampling::SmartsRun s = sampling::runSmarts(engine);
+        // At this scale the default target (+/-3% at 99.7%) draws the
+        // whole population in every program, so its estimate pins only
+        // the summation order. +/-10% with at least 3 samples stops
+        // early in some, which pins the stopping rule and draw order.
+        sampling::TurboSmartsConfig loose;
+        loose.relative_error = 0.10;
+        loose.min_samples = 3;
+        const sampling::SamplerResult t =
+            sampling::runTurboSmarts(s.sample_cpis, loose);
         os << "  smarts.est_cpi " << fmtDouble(s.result.est_cpi) << "\n"
            << "  turbosmarts.est_cpi "
            << fmtDouble(sampling::runTurboSmarts(s.sample_cpis).est_cpi)
-           << "\n";
+           << "\n"
+           << "  turbosmarts_loose.est_cpi " << fmtDouble(t.est_cpi)
+           << "\n"
+           << "  turbosmarts_loose.n_samples " << t.n_samples << "\n";
     }
     {
         // Built directly, not through the profile cache.
