@@ -8,7 +8,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "obs/json.hh"
 #include "util/table.hh"
 
 namespace pgss::obs
@@ -248,7 +247,7 @@ loadReportFromString(const std::string &text, LoadedReport &out,
     if (const JsonValue *partial = out.doc.get("partial"))
         out.partial = partial->isBool() && partial->boolean;
     out.values.clear();
-    // "perf" exists only in version-1 reports (and bench snapshots).
+    // "perf" exists only in version-1 reports and BENCH_pr4/7/9.json.
     for (const char *section : {"meta", "perf", "stats", "profile"})
         if (const JsonValue *v = out.doc.get(section))
             if (v->isObject())
@@ -751,94 +750,6 @@ checkReport(const LoadedReport &report)
             }
         }
     }
-    return res;
-}
-
-std::string
-benchSnapshotFromReport(const LoadedReport &report,
-                        const std::string &label)
-{
-    JsonWriter w;
-    w.beginObject();
-    w.field("schema", "pgss-bench-snapshot");
-    w.field("schema_version", std::uint64_t{1});
-    w.field("label", label);
-    w.field("program", report.program);
-    // Numeric meta travels along (workload_scale matters: MIPS at
-    // scale 0.05 and scale 1.0 are comparable, op counts are not).
-    w.beginObject("meta");
-    for (const auto &[path, v] : report.values)
-        if (path.rfind("meta.", 0) == 0 && std::isfinite(v))
-            w.field(path.substr(5), v);
-    w.endObject();
-    // One "mode.<mode>" object per engine mode span (the ff/detailed
-    // "engine.<mode>" rows; the category check skips any other
-    // "engine." span an older report carries). The
-    // "perf.mode.<mode>.*" layout is the one every committed
-    // BENCH_pr<N>.json carries, so fresh snapshots and old baselines
-    // line up path for path.
-    w.beginObject("perf");
-    const JsonValue *profile = profileSection(report);
-    const JsonValue *flat = profile ? profile->get("flat") : nullptr;
-    if (flat && flat->isObject()) {
-        for (const auto &[name, row] : flat->object) {
-            const JsonValue *cat = row.get("cat");
-            if (name.rfind("engine.", 0) != 0 || !cat ||
-                (cat->string != "ff" && cat->string != "detailed"))
-                continue;
-            w.beginObject("mode." + name.substr(7));
-            w.field("calls", numberAt(row, "calls"));
-            w.field("ops", numberAt(row, "ops"));
-            w.field("seconds", numberAt(row, "total_seconds"));
-            w.field("mips", numberAt(row, "mips"));
-            w.endObject();
-        }
-    }
-    w.endObject();
-    w.endObject();
-    return w.str() + "\n";
-}
-
-CheckResult
-checkAgainstBaseline(const LoadedReport &report,
-                     const LoadedReport &baseline, double tolerance)
-{
-    CheckResult res;
-    auto fmtPair = [](double cur, double base) {
-        char buf[80];
-        std::snprintf(buf, sizeof(buf), "%.6g vs baseline %.6g",
-                      cur, base);
-        return std::string(buf);
-    };
-    std::size_t compared = 0;
-    for (const auto &[path, base] : baseline.values) {
-        // Gate on throughput rates only: MIPS is (near) invariant in
-        // workload scale, absolute ops/seconds are not.
-        if (path.rfind("perf.", 0) != 0 || path.size() < 5 ||
-            path.compare(path.size() - 5, 5, ".mips") != 0)
-            continue;
-        if (!std::isfinite(base) || base <= 0.0)
-            continue;
-        const double cur = report.value(path);
-        if (std::isnan(cur)) {
-            res.warnings.push_back(path +
-                                   ": in baseline but not in report");
-            continue;
-        }
-        ++compared;
-        if (cur < base * (1.0 - tolerance))
-            res.violations.push_back(
-                path + ": regression, " + fmtPair(cur, base) +
-                " (tolerance " + fmtNum(tolerance * 100.0) + "%)");
-        else if (cur > base * (1.0 + tolerance))
-            res.warnings.push_back(
-                path + ": improved, " + fmtPair(cur, base) +
-                " — consider refreshing the baseline");
-    }
-    if (compared == 0)
-        res.violations.push_back(
-            "baseline has no perf.*.mips paths comparable with this "
-            "report");
     return res;
 }
 

@@ -6,7 +6,8 @@
  *
  *  - loadReport(): parse + flatten every numeric leaf ("stats.*",
  *    "profile.*", numeric "meta.*", and the "perf.*" of version-1
- *    reports and bench snapshots) to its dotted path
+ *    reports and of the historical BENCH_pr4/7/9.json snapshots) to
+ *    its dotted path
  *  - renderReport(): aligned text tables plus ASCII phase timelines
  *    and per-phase CI-convergence curves from the "timelines" section
  *  - renderProfile()/renderProfileDiff(): the span-profiling
@@ -17,11 +18,6 @@
  *  - checkReport(): sanity checks — schema fields, profile
  *    accounting, monotonic and aligned timeline axes — the
  *    `pgss_report check` CI gate
- *  - benchSnapshotFromReport()/checkAgainstBaseline(): the perf
- *    history — distil a run report's per-mode engine spans into a
- *    pgss-bench-snapshot document (BENCH_pr<N>.json) and gate a
- *    fresh snapshot's perf.<mode>.mips against a committed baseline
- *    with a relative tolerance
  *
  * Kept in src/obs (not tools/) so the logic is unit-testable against
  * the golden reports in tests/data/.
@@ -135,34 +131,6 @@ struct CheckResult
  * timeline arrays. A partial report is a warning, not a violation.
  */
 CheckResult checkReport(const LoadedReport &report);
-
-/**
- * Distil @p report into a pgss-bench-snapshot JSON document: schema
- * identity, @p label (e.g. "pr4"), the program, numeric meta, and a
- * "perf" object with one "mode.<mode>" entry (calls, ops, seconds,
- * mips) per "profile.flat" row of the engine's "engine.<mode>" spans;
- * seconds is the row's total. A report without a profile section
- * yields an empty "perf" object. Snapshots are small enough to commit
- * (BENCH_pr<N>.json at the repo root) and loadReport() reads them
- * back, so "perf.mode.<mode>.mips" lines up between a fresh snapshot
- * and every committed baseline.
- */
-std::string benchSnapshotFromReport(const LoadedReport &report,
-                                    const std::string &label);
-
-/**
- * The perf-history regression gate: compare every finite positive
- * "perf.*.mips" path of @p baseline (a bench snapshot) against
- * @p report (a snapshot of the run under test, or a version-1 report
- * with its "perf" section). A path whose current throughput is below
- * baseline * (1 - tolerance) is a violation; one above
- * baseline * (1 + tolerance) is a warning suggesting a baseline
- * refresh; a baseline path missing from the report is a warning. A
- * baseline with no comparable paths is itself a violation.
- */
-CheckResult checkAgainstBaseline(const LoadedReport &report,
-                                 const LoadedReport &baseline,
-                                 double tolerance);
 
 } // namespace pgss::obs
 

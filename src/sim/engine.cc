@@ -250,8 +250,8 @@ SimulationEngine::run(std::uint64_t n, SimMode mode)
     // One span per run() chunk (>= a sample window of work, never
     // per instruction): the engine's only host timer. Its
     // "profile.flat" row carries the mode's calls, ops, seconds and
-    // MIPS (the perf gate reads them); with no profiler installed it
-    // reads no clock.
+    // MIPS, which `pgss_report profile` renders; with no profiler
+    // installed it reads no clock.
     obs::ScopedSpan span(modeSpanName(mode),
                          detailed ? obs::SpanCat::Detailed
                                   : obs::SpanCat::Ff);

@@ -56,161 +56,6 @@ run(const std::string &cmd)
     return res;
 }
 
-TEST(BenchHistoryCli, MissingBaselineIsExit3WithActionableError)
-{
-    const RunResult res = run(
-        toolPath("pgss_bench_history") + " check " +
-        dataPath("golden_profile_a.json") +
-        " --baseline=/nonexistent/BENCH_pr0.json");
-    EXPECT_EQ(res.exit_code, 3) << res.output;
-    EXPECT_NE(res.output.find("bad baseline"), std::string::npos)
-        << res.output;
-    // The error must tell the user exactly how to fix it.
-    EXPECT_NE(res.output.find("pgss_bench_history snapshot"),
-              std::string::npos)
-        << res.output;
-}
-
-TEST(BenchHistoryCli, MalformedBaselineIsExit3)
-{
-    const std::string bad =
-        "/tmp/pgss_test_bad_baseline_" +
-        std::to_string(::getpid()) + ".json";
-    std::ofstream(bad) << "{not json";
-    RunResult res = run(toolPath("pgss_bench_history") + " check " +
-                        dataPath("golden_profile_a.json") +
-                        " --baseline=" + bad);
-    EXPECT_EQ(res.exit_code, 3) << res.output;
-
-    // Valid JSON but no perf.<mode>.mips: still a baseline problem,
-    // not a vacuous pass.
-    std::ofstream(bad)
-        << "{\"schema\":\"pgss-bench-snapshot\",\"label\":\"x\"}";
-    res = run(toolPath("pgss_bench_history") + " check " +
-              dataPath("golden_profile_a.json") + " --baseline=" + bad);
-    EXPECT_EQ(res.exit_code, 3) << res.output;
-    EXPECT_NE(res.output.find("no perf.<mode>.mips"),
-              std::string::npos)
-        << res.output;
-    std::remove(bad.c_str());
-}
-
-TEST(BenchHistoryCli, ModeMissingFromBaselineIsExit3)
-{
-    // A baseline that predates one of the report's perf modes (e.g.
-    // a new execution backend) must not silently skip that mode: the
-    // gate demands a refreshed baseline instead. golden_profile_a.json
-    // profiles both functional_fast and detailed_measure; this
-    // baseline only knows the former.
-    const std::string bad =
-        "/tmp/pgss_test_partial_baseline_" +
-        std::to_string(::getpid()) + ".json";
-    std::ofstream(bad)
-        << "{\"schema\":\"pgss-bench-snapshot\",\"label\":\"old\","
-           "\"perf\":{\"mode.functional_fast\":{\"mips\":2.0}}}";
-    const RunResult res =
-        run(toolPath("pgss_bench_history") + " check " +
-            dataPath("golden_profile_a.json") + " --baseline=" + bad);
-    EXPECT_EQ(res.exit_code, 3) << res.output;
-    EXPECT_NE(
-        res.output.find("perf.mode.detailed_measure.mips"),
-        std::string::npos)
-        << res.output;
-    EXPECT_NE(res.output.find("missing from baseline"),
-              std::string::npos)
-        << res.output;
-    // The error must tell the user exactly how to fix it.
-    EXPECT_NE(res.output.find("pgss_bench_history snapshot"),
-              std::string::npos)
-        << res.output;
-    std::remove(bad.c_str());
-}
-
-TEST(BenchHistoryCli, GoodBaselineStillPasses)
-{
-    // A report checked against its own snapshot can never regress.
-    const std::string snap = "/tmp/pgss_test_self_baseline_" +
-                             std::to_string(::getpid()) + ".json";
-    RunResult res =
-        run(toolPath("pgss_bench_history") + " snapshot " +
-            dataPath("golden_profile_a.json") + " " + snap);
-    ASSERT_EQ(res.exit_code, 0) << res.output;
-    res = run(toolPath("pgss_bench_history") + " check " +
-              dataPath("golden_profile_a.json") + " --baseline=" + snap);
-    EXPECT_EQ(res.exit_code, 0) << res.output;
-    EXPECT_NE(res.output.find("OK"), std::string::npos)
-        << res.output;
-    std::remove(snap.c_str());
-}
-
-TEST(BenchHistoryCli, ReportWithoutProfileIsRefused)
-{
-    // golden_a.json is a version-1 report with a "perf" section but
-    // no profile: neither snapshot nor check may pass on it.
-    const std::string snap = "/tmp/pgss_test_noprofile_snap_" +
-                             std::to_string(::getpid()) + ".json";
-    RunResult res =
-        run(toolPath("pgss_bench_history") + " snapshot " +
-            dataPath("golden_a.json") + " " + snap);
-    EXPECT_NE(res.exit_code, 0) << res.output;
-    EXPECT_NE(res.output.find("no profile section"), std::string::npos)
-        << res.output;
-    EXPECT_NE(res.output.find("--profile"), std::string::npos)
-        << res.output;
-    EXPECT_FALSE(std::ifstream(snap).good());
-
-    res = run(toolPath("pgss_bench_history") + " check " +
-              dataPath("golden_a.json") + " --baseline=" +
-              dataPath("golden_a.json"));
-    EXPECT_NE(res.exit_code, 0) << res.output;
-    EXPECT_NE(res.output.find("--profile"), std::string::npos)
-        << res.output;
-}
-
-TEST(BenchHistoryCli, TruncatedProfileIsRefused)
-{
-    // A wrapped span ring undercounts every flat row, so a truncated
-    // profile is refused even though its numbers look plausible.
-    const std::string report = "/tmp/pgss_test_truncated_" +
-                               std::to_string(::getpid()) + ".json";
-    const std::string baseline = "/tmp/pgss_test_truncated_base_" +
-                                 std::to_string(::getpid()) + ".json";
-    std::ofstream(report)
-        << "{\"schema\":\"pgss-run-report\",\"schema_version\":2,"
-           "\"program\":\"x\",\"stats\":{},\"profile\":{"
-           "\"schema_version\":1,\"spans_dropped\":5,"
-           "\"truncated\":true,\"flat\":{\"engine.functional_fast\":"
-           "{\"cat\":\"ff\",\"calls\":2,\"total_seconds\":1.0,"
-           "\"ops\":1000000,\"mips\":1.0}}}}";
-    std::ofstream(baseline)
-        << "{\"schema\":\"pgss-bench-snapshot\",\"label\":\"b\","
-           "\"perf\":{\"mode.functional_fast\":{\"mips\":1.0}}}";
-    RunResult res = run(toolPath("pgss_bench_history") + " snapshot " +
-                        report + " " + report + ".snap");
-    EXPECT_NE(res.exit_code, 0) << res.output;
-    EXPECT_NE(res.output.find("truncated profile"), std::string::npos)
-        << res.output;
-    EXPECT_NE(res.output.find("--profile"), std::string::npos)
-        << res.output;
-
-    res = run(toolPath("pgss_bench_history") + " check " + report +
-              " --baseline=" + baseline);
-    EXPECT_NE(res.exit_code, 0) << res.output;
-    EXPECT_NE(res.output.find("truncated profile"), std::string::npos)
-        << res.output;
-    std::remove(report.c_str());
-    std::remove(baseline.c_str());
-}
-
-TEST(BenchHistoryCli, UsageErrorsStayExit2)
-{
-    EXPECT_EQ(run(toolPath("pgss_bench_history")).exit_code, 2);
-    EXPECT_EQ(
-        run(toolPath("pgss_bench_history") + " check x.json")
-            .exit_code,
-        2); // --baseline missing
-}
-
 TEST(ReportCli, MetricsMatchesGoldenFile)
 {
     const RunResult res = run(toolPath("pgss_report") + " metrics " +
@@ -229,6 +74,20 @@ TEST(ReportCli, MetricsOnMissingFileFails)
     const RunResult res =
         run(toolPath("pgss_report") + " metrics /nonexistent.json");
     EXPECT_EQ(res.exit_code, 1);
+}
+
+TEST(ReportCli, ProfileTopMustBePositiveInteger)
+{
+    const std::string report = dataPath("golden_profile_a.json");
+    const std::string profile = toolPath("pgss_report") + " profile ";
+    EXPECT_EQ(run(profile + report + " --top=2").exit_code, 0);
+    // strtoul reads "abc" as 0 and wraps "-1" round to every row.
+    for (const char *bad : {"abc", "-1", "0", "", "3x"}) {
+        const RunResult res =
+            run(profile + report + " --top=" + bad);
+        EXPECT_EQ(res.exit_code, 2) << bad << ": " << res.output;
+        EXPECT_NE(res.output.find("usage:"), std::string::npos) << bad;
+    }
 }
 
 } // namespace

@@ -15,9 +15,7 @@
  *                                         at a textfile collector
  *   pgss_report check report.json        sanity checks; exit 1 on any
  *                                         violation (the CI gate for
- *                                         observability artefacts;
- *                                         the perf gate is
- *                                         pgss_bench_history check)
+ *                                         observability artefacts)
  *
  * All output is plain text so it survives CI logs and grep.
  */
@@ -164,11 +162,16 @@ main(int argc, char **argv)
     if (args[0] == "profile") {
         std::string top = "20";
         takeOption(args, "top", top);
-        if (args.size() < 2 || args.size() > 3)
+        // Only a positive decimal count: strtoul alone reads "abc"
+        // as 0 and wraps "-1" round to every row.
+        const bool digits =
+            !top.empty() &&
+            top.find_first_not_of("0123456789") == std::string::npos;
+        const std::size_t top_n =
+            digits ? std::strtoul(top.c_str(), nullptr, 10) : 0;
+        if (args.size() < 2 || args.size() > 3 || top_n == 0)
             return usage();
-        return cmdProfile({args.begin() + 1, args.end()},
-                          static_cast<std::size_t>(
-                              std::strtoul(top.c_str(), nullptr, 10)));
+        return cmdProfile({args.begin() + 1, args.end()}, top_n);
     }
     if (args[0] == "check")
         return args.size() == 2 ? cmdCheck(args[1]) : usage();
