@@ -57,7 +57,7 @@ variants(const sim::EngineConfig &base_engine)
     add("no compare-last-first", no_last, base_engine);
 
     core::PgssConfig no_spread = base;
-    no_spread.spread_samples = false;
+    no_spread.min_sample_spacing = 0;
     add("no sample spreading", no_spread, base_engine);
 
     for (std::uint32_t bits : {4u, 6u}) {

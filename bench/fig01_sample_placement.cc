@@ -145,11 +145,9 @@ main(int argc, char **argv)
     }
 
     // PGSS: phase-guided small samples.
-    core::PgssConfig pgss_cfg;
-    pgss_cfg.record_timeline = true;
     sim::SimulationEngine pgss_engine(demo.program, config);
     const core::PgssResult pgss =
-        core::PgssController(pgss_cfg).run(pgss_engine);
+        core::PgssController().run(pgss_engine);
     std::string pgss_strip = emptyStrip();
     for (const core::SampleEvent &ev : pgss.timeline)
         mark(pgss_strip, static_cast<double>(ev.at_op), total_ops,

@@ -266,18 +266,6 @@ runEntriesJournaled(const std::vector<Entry> &entries,
     return out;
 }
 
-bool
-resumeRequested()
-{
-    return journalState().resume;
-}
-
-const std::string &
-journalPath()
-{
-    return journalState().path;
-}
-
 std::string
 encodeDoubles(const std::vector<double> &xs)
 {

@@ -107,12 +107,6 @@ runEntriesJournaled(const std::vector<Entry> &entries,
                     const std::string &stage,
                     const std::function<std::string(std::size_t)> &body);
 
-/** True when --resume / PGSS_RESUME=1 was given. */
-bool resumeRequested();
-
-/** The completion-journal path ("" when journaling is off). */
-const std::string &journalPath();
-
 /**
  * Encode doubles so decode(encode(x)) == x exactly (%.17g round
  * trip) — the payload convention journaled benches use.

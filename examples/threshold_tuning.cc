@@ -1,8 +1,7 @@
 /**
  * @file
  * Threshold tuning: how the BBV angle threshold changes PGSS-Sim's
- * behaviour on one workload, and what the adaptive-threshold
- * extension (the paper's future-work item) settles on.
+ * behaviour on one workload.
  *
  * Usage: threshold_tuning [workload] [scale]
  *   defaults: 300.twolf 0.1 — the paper's own threshold case study.
@@ -56,24 +55,6 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
 
-    // The adaptive extension: start badly mis-tuned in both
-    // directions and let the runtime controller walk the threshold.
-    std::printf("\nadaptive threshold (paper future work):\n");
-    for (double start : {0.01, 0.25}) {
-        core::PgssConfig cfg;
-        cfg.threshold = start * M_PI;
-        cfg.adaptive.enabled = true;
-        sim::SimulationEngine engine(built.program);
-        const core::PgssResult r =
-            core::PgssController(cfg).run(engine);
-        std::printf("  start %.3f pi -> final %.3f pi "
-                    "(%u adjustments), error %.2f%%, %llu samples\n",
-                    start, r.final_threshold / M_PI,
-                    r.threshold_adjustments,
-                    100.0 * std::abs(r.est_ipc - true_ipc) /
-                        true_ipc,
-                    static_cast<unsigned long long>(r.n_samples));
-    }
     std::printf("\nlow thresholds mint many phases (false "
                 "positives, extra samples); high\nthresholds merge "
                 "real behaviour changes. The sweet spot is near "

@@ -7,11 +7,10 @@ namespace pgss::analysis
 {
 
 PhaseSequence
-classifyProfile(const IntervalProfile &profile, double threshold,
-                bool compare_last_first)
+classifyProfile(const IntervalProfile &profile, double threshold)
 {
     PhaseSequence seq;
-    core::PhaseTable table(compare_last_first);
+    core::PhaseTable table;
     seq.assignment.reserve(profile.intervals());
 
     for (std::size_t i = 0; i < profile.intervals(); ++i) {
@@ -32,11 +31,9 @@ classifyProfile(const IntervalProfile &profile, double threshold,
 }
 
 PhaseCharacteristics
-phaseCharacteristics(const IntervalProfile &profile, double threshold,
-                     bool compare_last_first)
+phaseCharacteristics(const IntervalProfile &profile, double threshold)
 {
-    const PhaseSequence seq =
-        classifyProfile(profile, threshold, compare_last_first);
+    const PhaseSequence seq = classifyProfile(profile, threshold);
 
     PhaseCharacteristics pc;
     pc.n_phases = seq.n_phases;

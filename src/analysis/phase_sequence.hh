@@ -34,11 +34,11 @@ struct PhaseSequence
 
 /**
  * Classify every interval of @p profile with the PGSS matching policy
- * at @p threshold radians.
+ * (previous phase first, then the whole table) at @p threshold
+ * radians.
  */
 PhaseSequence classifyProfile(const IntervalProfile &profile,
-                              double threshold,
-                              bool compare_last_first = true);
+                              double threshold);
 
 /** Figure-10 statistics for one threshold. */
 struct PhaseCharacteristics
@@ -59,8 +59,7 @@ struct PhaseCharacteristics
 
 /** Compute the Figure-10 statistics at @p threshold. */
 PhaseCharacteristics
-phaseCharacteristics(const IntervalProfile &profile, double threshold,
-                     bool compare_last_first = true);
+phaseCharacteristics(const IntervalProfile &profile, double threshold);
 
 } // namespace pgss::analysis
 

@@ -3,10 +3,11 @@
  * Parameters of Phase-Guided Small-Sample Simulation. Defaults are
  * the paper's: 100k-op BBV sampling periods during functional
  * fast-forwarding, 3,000-op detailed warm-up plus 1,000-op measured
- * window per sample, a 0.05*pi BBV angle threshold, TurboSMARTS-style
- * 3%-at-99.7% per-phase confidence stopping, and at most one sample
- * per phase per million ops to spread samples across a phase's
- * occurrences.
+ * window per sample, a 0.05*pi BBV angle threshold, per-phase
+ * confidence stopping (3% at 95%), and at most one sample per phase
+ * per million ops to spread samples across a phase's occurrences.
+ * The threshold is fixed for the whole run, as in every experiment
+ * of the paper.
  */
 
 #ifndef PGSS_CORE_PGSS_CONFIG_HH
@@ -17,34 +18,6 @@
 
 namespace pgss::core
 {
-
-/** Runtime threshold adaptation (the paper's future-work feature). */
-struct AdaptiveThresholdConfig
-{
-    bool enabled = false;
-    double min_threshold = 0.01 * M_PI;
-    double max_threshold = 0.25 * M_PI;
-
-    /** Periods between adaptation steps. */
-    std::uint32_t adjust_interval = 64;
-
-    /** Multiplicative step applied per adjustment. */
-    double step = 1.25;
-
-    /**
-     * Raise the threshold when more than this fraction of recent
-     * phase creations were redundant (new phase CPI within
-     * redundant_cpi_margin of an existing phase's).
-     */
-    double max_redundant_fraction = 0.5;
-    double redundant_cpi_margin = 0.05;
-
-    /**
-     * Lower the threshold when the pooled within-phase CPI
-     * coefficient of variation exceeds this (phases too coarse).
-     */
-    double max_phase_cov = 0.10;
-};
 
 /** All PGSS-Sim knobs. */
 struct PgssConfig
@@ -65,29 +38,26 @@ struct PgssConfig
     double relative_error = 0.03;  ///< per-phase CI half-width target
     std::uint64_t min_samples_per_phase = 4;
 
-    /** Spread samples: min ops between samples of the same phase. */
+    /**
+     * Spread samples: min ops between samples of the same phase. 0
+     * turns spreading off (every unconverged period is sampled).
+     */
     std::uint64_t min_sample_spacing = 1'000'000;
-    bool spread_samples = true;
 
     /** Compare to the previous period's phase before the full table. */
     bool compare_last_first = true;
 
     /**
-     * Place each sample at a uniformly-random offset inside its
-     * period instead of at the period start. Fixed placement aliases
-     * against workloads whose micro-phases (the paper's art/mcf
-     * 40-50k-op oscillations) are near-commensurate with the BBV
-     * period: consecutive samples land in the same micro-behaviour
-     * and the phase CI converges one-sided. Stratified-random
-     * placement is the standard systematic-sampling remedy.
+     * Place each sample at an offset inside its period taken from a
+     * golden-ratio (low-discrepancy) sequence instead of at the
+     * period start. Fixed placement aliases against workloads whose
+     * micro-phases (the paper's art/mcf 40-50k-op oscillations) are
+     * near-commensurate with the BBV period: consecutive samples land
+     * in the same micro-behaviour and the phase CI converges
+     * one-sided. Stratified placement is the standard
+     * systematic-sampling remedy.
      */
     bool jitter_samples = true;
-    std::uint64_t jitter_seed = 0x5a3c1e7;
-
-    /** Record the sample timeline (Figure-1 style output). */
-    bool record_timeline = false;
-
-    AdaptiveThresholdConfig adaptive;
 };
 
 } // namespace pgss::core

@@ -23,7 +23,6 @@ PgssController::PgssController(const PgssConfig &config)
     util::panicIf(config.detailed_warmup + config.detailed_sample >
                       config.bbv_period,
                   "sample window does not fit in the BBV period");
-    counters_.threshold = config.threshold;
 }
 
 void
@@ -38,11 +37,6 @@ PgssController::registerStats(obs::Group &parent) const
                  [this] { return counters_.phases; });
     g.addCounter("phase_changes", "period-to-period transitions",
                  [this] { return counters_.phase_changes; });
-    g.addCounter("threshold_adjustments",
-                 "adaptive threshold moves",
-                 [this] { return counters_.threshold_adjustments; });
-    g.addScalar("threshold", "current BBV angle threshold (radians)",
-                [this] { return counters_.threshold; });
 }
 
 PgssResult
@@ -51,14 +45,14 @@ PgssController::run(sim::SimulationEngine &engine)
     PGSS_SPAN("sampling.pgss", Bench);
     PgssResult res;
     PhaseTable table(config_.compare_last_first);
-    AdaptiveThreshold adaptive(config_.adaptive, config_.threshold);
     // Low-discrepancy (golden-ratio) offset sequence: successive
     // samples stratify across the period instead of relying on luck,
     // so micro-behaviours commensurate with the period are covered
-    // in proportion after only a few samples.
+    // in proportion after only a few samples. The start is fixed, so
+    // every run of one program and config places samples identically.
     constexpr double golden = 0.6180339887498949;
-    double jitter_phase =
-        (config_.jitter_seed % 1024) / 1024.0;
+    constexpr double jitter_start = (0x5a3c1e7 % 1024) / 1024.0;
+    double jitter_phase = jitter_start;
 
     engine.setHashedBbvEnabled(true);
 
@@ -121,8 +115,7 @@ PgssController::run(sim::SimulationEngine &engine)
 
         // ---- Harvest and classify the period's BBV.
         const std::vector<double> bbv = engine.harvestHashedBbv();
-        const MatchResult match =
-            table.classify(bbv, adaptive.threshold());
+        const MatchResult match = table.classify(bbv, config_.threshold);
         Phase &phase = table.phase(match.phase_id);
         phase.addOps(chunk_ops);
 
@@ -140,9 +133,8 @@ PgssController::run(sim::SimulationEngine &engine)
             phase.addSample(sample_cpi, engine.totalOps());
             ++res.n_samples;
             ++counters_.samples;
-            if (config_.record_timeline)
-                res.timeline.push_back(
-                    {engine.totalOps(), phase.id(), sample_cpi});
+            res.timeline.push_back(
+                {engine.totalOps(), phase.id(), sample_cpi});
         }
 
         // ---- Decide whether the next period carries a sample
@@ -164,21 +156,10 @@ PgssController::run(sim::SimulationEngine &engine)
                                   converged);
         }
         const bool spaced =
-            !config_.spread_samples ||
             phase.sampleCount() == 0 ||
             engine.totalOps() - phase.lastSampleOp() >=
                 config_.min_sample_spacing;
         sample_next_period = !converged && spaced;
-
-        const double threshold_before = adaptive.threshold();
-        adaptive.onPeriod(table, match.created);
-        if (adaptive.threshold() != threshold_before) {
-            ++counters_.threshold_adjustments;
-            counters_.threshold = adaptive.threshold();
-            if (tl)
-                tl->recordThreshold(tl_run, engine.totalOps(),
-                                    adaptive.threshold());
-        }
     }
 
     engine.setHashedBbvEnabled(false);
@@ -237,8 +218,6 @@ PgssController::run(sim::SimulationEngine &engine)
     res.n_phase_changes = table.phaseChanges();
     res.mode_ops = engine.modeOps();
     res.detailed_ops = engine.modeOps().detailed();
-    res.final_threshold = adaptive.threshold();
-    res.threshold_adjustments = adaptive.adjustments();
     return res;
 }
 

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/adaptive_threshold.hh"
 #include "core/pgss_config.hh"
 #include "core/phase_table.hh"
 #include "sim/engine.hh"
@@ -30,7 +29,7 @@ class Group;
 namespace pgss::core
 {
 
-/** One entry of the optional sample timeline (Figure-1 output). */
+/** One entry of the sample timeline (Figure-1 output). */
 struct SampleEvent
 {
     std::uint64_t at_op = 0;     ///< global op position of the sample
@@ -62,18 +61,14 @@ struct PgssResult
     std::uint64_t detailed_ops = 0; ///< warm-up + measured windows
     sim::ModeOps mode_ops;
 
-    double final_threshold = 0.0; ///< after adaptation (if enabled)
-    std::uint32_t threshold_adjustments = 0;
-
     std::vector<PhaseSummary> phases;
-    std::vector<SampleEvent> timeline; ///< when record_timeline set
+    std::vector<SampleEvent> timeline; ///< one entry per sample
 };
 
 /**
- * Counters a controller updates as it runs, so the stats
- * registerStats() exposes read sampling progress without waiting for
- * the PgssResult. Accumulates across run() calls on the same
- * controller.
+ * The sampling-decision counts registerStats() exposes. Unlike a
+ * PgssResult they accumulate across run() calls on the same
+ * controller, so one registry entry covers every run it made.
  */
 struct ControllerCounters
 {
@@ -81,8 +76,6 @@ struct ControllerCounters
     std::uint64_t samples = 0;
     std::uint64_t phases = 0;
     std::uint64_t phase_changes = 0;
-    std::uint64_t threshold_adjustments = 0;
-    double threshold = 0.0; ///< current angle threshold (radians)
 };
 
 /** Runs PGSS-Sim over one engine. */
@@ -101,12 +94,9 @@ class PgssController
 
     const PgssConfig &config() const { return config_; }
 
-    /** Live sampling-progress counters. */
-    const ControllerCounters &counters() const { return counters_; }
-
     /**
      * Register the sampling-decision counters (periods, samples,
-     * phases, threshold moves) into a "pgss" child of @p parent. The
+     * phases, phase changes) into a "pgss" child of @p parent. The
      * controller must outlive dumps of the enclosing registry.
      */
     void registerStats(obs::Group &parent) const;

@@ -714,12 +714,6 @@ checkReport(const LoadedReport &report)
                 checkAligned(*pt, "phase", ops.size(),
                              ctx + ".phase_timeline", res);
             }
-            if (const JsonValue *th = run.get("threshold")) {
-                const std::vector<std::uint64_t> ops = opAxis(*th);
-                checkMonotonic(ops, ctx + ".threshold", res);
-                checkAligned(*th, "radians", ops.size(),
-                             ctx + ".threshold", res);
-            }
             if (const JsonValue *conv = run.get("convergence")) {
                 for (const auto &[phase_id, curve] : conv->object) {
                     const std::string cctx =

@@ -55,10 +55,11 @@ namespace pgss::obs
  * 3 dropped the networking stats (the "net" fault sites under
  * "stats.fi" and the retry counter under "stats.robust"); 4 dropped
  * the checkpoint library's five degradation counters from
- * "stats.robust".
- * Reports of versions 1 to 3 still load, show, diff and export.
+ * "stats.robust"; 5 dropped "stats.pgss.threshold" and its move
+ * counter with the adaptive threshold.
+ * Reports of versions 1 to 4 still load, show, diff and export.
  */
-constexpr std::uint32_t report_schema_version = 4;
+constexpr std::uint32_t report_schema_version = 5;
 
 /**
  * The process-wide stats registry that finalize() reports. Components

@@ -15,7 +15,7 @@
  * path takes no locks, touches no shared cache lines, and costs two
  * monotonic clock reads plus one struct write per span. The global
  * registry (mutex-protected, first-use only) tracks every thread's
- * buffer so PGSS_JOBS workers — named by util::ThreadPool — appear as
+ * buffer so PGSS_JOBS workers — named by util::parallelFor — appear as
  * separate tracks. When a ring wraps, the oldest records are
  * overwritten and the loss is accounted (dropped counter + truncation
  * marker in every sink).

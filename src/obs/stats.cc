@@ -1,12 +1,10 @@
 #include "obs/stats.hh"
 
 #include <mutex>
-#include <ostream>
 #include <utility>
 
 #include "obs/json.hh"
 #include "util/logging.hh"
-#include "util/table.hh"
 
 namespace pgss::obs
 {
@@ -146,86 +144,12 @@ Group::dumpJson(JsonWriter &w) const
 
 StatsRegistry::StatsRegistry() : root_("root", "stats root") {}
 
-namespace
-{
-
-const char *
-kindName(StatKind k)
-{
-    switch (k) {
-      case StatKind::Counter:
-        return "counter";
-      case StatKind::Scalar:
-        return "scalar";
-      case StatKind::Formula:
-        return "formula";
-      case StatKind::Vector:
-        return "vector";
-    }
-    return "?";
-}
-
-void
-dumpGroupText(const Group &g, const std::string &prefix,
-              util::Table &table)
-{
-    for (const Stat &s : g.stats()) {
-        const std::string full = prefix + s.name;
-        switch (s.kind) {
-          case StatKind::Counter:
-            table.addRow({full, util::Table::fmtCount(s.counter()),
-                          kindName(s.kind), s.desc});
-            break;
-          case StatKind::Scalar:
-          case StatKind::Formula:
-            table.addRow({full, util::Table::fmt(s.scalar(), 6),
-                          kindName(s.kind), s.desc});
-            break;
-          case StatKind::Vector: {
-            const std::vector<double> vals = s.vec();
-            for (std::size_t i = 0;
-                 i < vals.size() && i < s.elements.size(); ++i) {
-                table.addRow({full + "." + s.elements[i],
-                              util::Table::fmt(vals[i], 6),
-                              kindName(s.kind), s.desc});
-            }
-            break;
-          }
-        }
-    }
-    for (const auto &c : g.children())
-        dumpGroupText(*c, prefix + c->name() + ".", table);
-}
-
-} // anonymous namespace
-
-void
-StatsRegistry::dumpText(std::ostream &os) const
-{
-    util::Table table("statistics");
-    table.setHeader({"name", "value", "kind", "description"});
-    dumpGroupText(root_, "", table);
-    table.print(os);
-}
-
 void
 StatsRegistry::dumpJson(JsonWriter &w) const
 {
     w.beginObject("stats");
     root_.dumpJson(w);
     w.endObject();
-}
-
-std::string
-StatsRegistry::dumpJsonString() const
-{
-    JsonWriter w;
-    w.beginObject();
-    w.field("schema", "pgss-stats");
-    w.field("schema_version", std::uint64_t{schema_version});
-    dumpJson(w);
-    w.endObject();
-    return w.str();
 }
 
 namespace

@@ -34,7 +34,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -119,10 +118,9 @@ class Group
 };
 
 /**
- * The tree root plus whole-tree operations: text dump (util/table
- * format, dotted names), JSON dump (schema "pgss-stats", see
- * DESIGN.md section 8), and dotted-path value lookup for tests and
- * report assembly.
+ * The tree root plus whole-tree operations: JSON dump (the run
+ * report's "stats" section, see DESIGN.md section 8) and dotted-path
+ * value lookup for tests and report assembly.
  */
 class StatsRegistry
 {
@@ -132,20 +130,8 @@ class StatsRegistry
     Group &root() { return root_; }
     const Group &root() const { return root_; }
 
-    /** JSON schema version of dumpJsonString() documents. */
-    static constexpr std::uint32_t schema_version = 1;
-
-    /**
-     * Render every stat as an aligned text table with full dotted
-     * names (root group name omitted).
-     */
-    void dumpText(std::ostream &os) const;
-
     /** Serialize the whole tree into @p w as a "stats" object. */
     void dumpJson(JsonWriter &w) const;
-
-    /** Complete "pgss-stats" JSON document. */
-    std::string dumpJsonString() const;
 
     /**
      * Every stat as ("stats.<dotted path>", value), tree order, with

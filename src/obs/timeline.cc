@@ -70,15 +70,6 @@ TimelineRecorder::recordConvergence(TimelineHandle run,
 }
 
 void
-TimelineRecorder::recordThreshold(TimelineHandle run, std::uint64_t op,
-                                  double radians)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (TimelineRun *r = find(run))
-        r->threshold.record({op, radians});
-}
-
-void
 TimelineRecorder::dumpJson(JsonWriter &w) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -132,19 +123,6 @@ TimelineRecorder::dumpJson(JsonWriter &w) const
             w.endArray();
             w.endObject();
         }
-        w.endObject();
-
-        const std::vector<ThresholdPoint> moves =
-            run.threshold.points();
-        w.beginObject("threshold");
-        w.beginArray("op");
-        for (const ThresholdPoint &p : moves)
-            w.value(p.op);
-        w.endArray();
-        w.beginArray("radians");
-        for (const ThresholdPoint &p : moves)
-            w.value(p.radians);
-        w.endArray();
         w.endObject();
         if (run.dropped_curve_points)
             w.field("dropped_curve_points", run.dropped_curve_points);

@@ -4,7 +4,7 @@
  * sampling run did over simulated time, complementing the end-of-run
  * aggregates of the stats registry.
  *
- * Three kinds of series per named run, all constant-memory for
+ * Two kinds of series per named run, both constant-memory for
  * arbitrarily long runs via stride-doubling downsampling (when a
  * buffer fills, every other retained point is dropped and the
  * sampling stride doubles, so retained points stay uniformly spaced
@@ -16,15 +16,12 @@
  *    running sample count, mean, relative CI half-width, and
  *    open/closed state — the curve that shows each stratum's
  *    confidence interval closing over time.
- *  - Threshold moves: one (op, radians) point each time the adaptive
- *    threshold changes.
  *
  * Push-only: samplers record into the run handle beginRun() gave
  * them, and the recorder reads nothing of the simulator. Off by
  * default; when no recorder is installed a sampler makes one
  * null-pointer check per period, and the engine none. Enabled, the
- * cost is one struct append per classification, sample or threshold
- * move.
+ * cost is one struct append per classification or sample.
  *
  * Serialized into the run report as the schema-versioned "timelines"
  * section (DESIGN.md section 8.5), which `tools/pgss_report` renders.
@@ -59,13 +56,6 @@ struct ConvergencePoint
     double mean = 0.0;         ///< running sample mean (CPI)
     double ci_rel = 0.0;       ///< CI half-width / |mean| (inf if n<2)
     bool closed = false;       ///< stratum within confidence bounds
-};
-
-/** One threshold-series point: the adaptive threshold moved at @p op. */
-struct ThresholdPoint
-{
-    std::uint64_t op = 0;
-    double radians = 0.0; ///< the new threshold
 };
 
 /**
@@ -133,28 +123,20 @@ class StridedSeries
     std::uint64_t compactions_ = 0;
 };
 
-/**
- * One named sampling run: its phase timeline, convergence curves and
- * threshold moves.
- */
+/** One named sampling run: its phase timeline and convergence curves. */
 struct TimelineRun
 {
     static constexpr std::size_t phase_capacity = 512; ///< per timeline
     static constexpr std::size_t curve_capacity = 128; ///< per curve
     static constexpr std::size_t max_curves = 256;     ///< per run
 
-    // Threshold moves happen at most once per period, so the phase
-    // timeline's capacity bounds them too.
     explicit TimelineRun(std::string run_label)
-        : label(std::move(run_label)),
-          phase_timeline(phase_capacity),
-          threshold(phase_capacity)
+        : label(std::move(run_label)), phase_timeline(phase_capacity)
     {
     }
 
     std::string label;
     StridedSeries<PhasePoint> phase_timeline;
-    StridedSeries<ThresholdPoint> threshold;
 
     /** Curves in phase-id order (sparse; find by Curve::phase). */
     struct Curve
@@ -194,7 +176,7 @@ class TimelineRecorder
 {
   public:
     /** Schema version of the "timelines" report section. */
-    static constexpr std::uint32_t schema_version = 2;
+    static constexpr std::uint32_t schema_version = 3;
 
     static constexpr std::size_t max_runs = 64; ///< named runs kept
 
@@ -212,10 +194,6 @@ class TimelineRecorder
     void recordConvergence(TimelineHandle run, std::uint32_t phase,
                            std::uint64_t op, std::uint64_t samples,
                            double mean, double ci_rel, bool closed);
-
-    /** Record one adaptive-threshold move of run @p run. */
-    void recordThreshold(TimelineHandle run, std::uint64_t op,
-                         double radians);
 
     /** Every kept run; read once the recording threads are done. */
     const std::vector<TimelineRun> &runs() const { return runs_; }

@@ -1,6 +1,7 @@
 #include "util/env.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 
@@ -21,8 +22,10 @@ envDouble(const char *name, double def)
     if (!v || !*v)
         return def;
     char *end = nullptr;
-    double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0')
+    const double parsed = std::strtod(v, &end);
+    // strtod also accepts "nan" and "inf"; no knob has a use for
+    // them, and NaN slips through range clamps.
+    if (end == v || *end != '\0' || !std::isfinite(parsed))
         return def;
     return parsed;
 }

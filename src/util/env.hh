@@ -21,7 +21,10 @@ namespace pgss::util
 /** String env var with default. */
 std::string envString(const char *name, const std::string &def);
 
-/** Double env var with default; malformed values fall back to @p def. */
+/**
+ * Double env var with default; malformed and non-finite values (nan,
+ * inf) fall back to @p def.
+ */
 double envDouble(const char *name, double def);
 
 /**

@@ -1,6 +1,6 @@
 #include "util/fi.hh"
 
-#include <cstdlib>
+#include <charconv>
 #include <map>
 #include <mutex>
 
@@ -78,12 +78,22 @@ counterMap()
     return m;
 }
 
+/**
+ * Parse all of @p text as one number: an unsigned type takes decimal
+ * digits only, and nothing may follow the number.
+ */
+template <class T>
+bool
+parseWhole(const std::string &text, T &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc{} && ptr == end;
+}
+
 bool
 parseMode(const std::string &value, Schedule &s, std::string *error)
 {
-    auto arg = [&value](std::size_t prefix_len) {
-        return value.substr(prefix_len);
-    };
     if (value == "fail-always") {
         s.mode = Mode::FailAlways;
         return true;
@@ -91,10 +101,10 @@ parseMode(const std::string &value, Schedule &s, std::string *error)
     if (value.rfind("fail-nth:", 0) == 0 ||
         value.rfind("flip-nth:", 0) == 0) {
         s.mode = value[1] == 'a' ? Mode::FailNth : Mode::FlipNth;
-        s.nth = std::strtoull(arg(9).c_str(), nullptr, 10);
-        if (s.nth == 0) {
+        if (!parseWhole(value.substr(9), s.nth) || s.nth == 0) {
             if (error)
-                *error = "nth must be >= 1 in '" + value + "'";
+                *error = "nth must be a decimal integer >= 1 in '" +
+                         value + "'";
             return false;
         }
         return true;
@@ -102,10 +112,9 @@ parseMode(const std::string &value, Schedule &s, std::string *error)
     if (value.rfind("fail-rate:", 0) == 0 ||
         value.rfind("flip-rate:", 0) == 0) {
         s.mode = value[1] == 'a' ? Mode::FailRate : Mode::FlipRate;
-        char *end = nullptr;
-        s.rate = std::strtod(value.c_str() + 10, &end);
-        if (end == value.c_str() + 10 || s.rate < 0.0 ||
-            s.rate > 1.0) {
+        // Written so that NaN, which compares false, fails it too.
+        if (!parseWhole(value.substr(10), s.rate) ||
+            !(s.rate >= 0.0 && s.rate <= 1.0)) {
             if (error)
                 *error = "rate must be in [0,1] in '" + value + "'";
             return false;
@@ -158,7 +167,12 @@ parseSpec(const std::string &spec, std::vector<Schedule> &out,
                     return false;
                 have_mode = true;
             } else if (key == "seed") {
-                s.seed = std::strtoull(value.c_str(), nullptr, 10);
+                if (!parseWhole(value, s.seed)) {
+                    if (error)
+                        *error = "seed must be decimal digits in '" +
+                                 kv + "'";
+                    return false;
+                }
             } else {
                 if (error)
                     *error = "unknown key '" + key + "'";

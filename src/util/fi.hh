@@ -23,6 +23,9 @@
  *                  modes); identical spec + identical check sequence
  *                  => identical injected faults.
  *
+ * K and N are decimal digits and P a number in [0,1], each parsed
+ * whole; anything else rejects the spec.
+ *
  * The first schedule whose glob matches a site owns that site. With no
  * schedule configured the whole framework is one predicated branch per
  * check (a relaxed atomic load of a process-global flag); sites are

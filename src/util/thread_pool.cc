@@ -1,7 +1,10 @@
 #include "util/thread_pool.hh"
 
 #include <atomic>
-#include <utility>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 namespace pgss::util
 {
@@ -25,72 +28,6 @@ currentThreadName()
     return t_thread_name;
 }
 
-ThreadPool::ThreadPool(std::size_t workers)
-{
-    if (workers == 0)
-        workers = 1;
-    workers_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i)
-        workers_.emplace_back([this, i] {
-            setCurrentThreadName("pool-" + std::to_string(i));
-            workerLoop();
-        });
-}
-
-ThreadPool::~ThreadPool()
-{
-    wait();
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    work_ready_.notify_all();
-    for (std::thread &t : workers_)
-        t.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> task)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        queue_.push_back(std::move(task));
-        ++in_flight_;
-    }
-    work_ready_.notify_one();
-}
-
-void
-ThreadPool::wait()
-{
-    std::unique_lock<std::mutex> lock(mutex_);
-    all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void
-ThreadPool::workerLoop()
-{
-    while (true) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            work_ready_.wait(lock, [this] {
-                return stopping_ || !queue_.empty();
-            });
-            if (queue_.empty())
-                return; // stopping_ with a drained queue
-            task = std::move(queue_.front());
-            queue_.pop_front();
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --in_flight_;
-        }
-        all_done_.notify_all();
-    }
-}
-
 void
 parallelFor(std::size_t n, std::size_t jobs,
             const std::function<void(std::size_t)> &body)
@@ -106,21 +43,38 @@ parallelFor(std::size_t n, std::size_t jobs,
     }
     // One shared index rather than static chunks: items have wildly
     // uneven cost (workload lengths differ by orders of magnitude),
-    // so dynamic dispatch keeps all workers busy until the tail.
+    // so dynamic dispatch keeps all threads busy until the tail.
     std::atomic<std::size_t> next{0};
-    ThreadPool pool(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) {
-        pool.submit([&] {
-            while (true) {
-                const std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= n)
-                    return;
-                body(i);
-            }
-        });
+    std::mutex failure_mutex;
+    std::exception_ptr failure; ///< first exception a body threw
+    {
+        // jthreads join when the vector goes, also when starting one
+        // of them throws.
+        std::vector<std::jthread> threads;
+        threads.reserve(jobs);
+        for (std::size_t w = 0; w < jobs; ++w)
+            threads.emplace_back([&, w] {
+                setCurrentThreadName("pool-" + std::to_string(w));
+                try {
+                    while (true) {
+                        const std::size_t i =
+                            next.fetch_add(1, std::memory_order_relaxed);
+                        if (i >= n)
+                            return;
+                        body(i);
+                    }
+                } catch (...) {
+                    // Start no further index; the caller rethrows,
+                    // as it would have on the inline path.
+                    next.store(n, std::memory_order_relaxed);
+                    std::lock_guard<std::mutex> lock(failure_mutex);
+                    if (!failure)
+                        failure = std::current_exception();
+                }
+            });
     }
-    pool.wait();
+    if (failure)
+        std::rethrow_exception(failure);
 }
 
 } // namespace pgss::util

@@ -195,24 +195,24 @@ TEST(ObsAnalyzeCheck, PartialReportIsWarningNotViolation)
     EXPECT_FALSE(res.warnings.empty());
 }
 
-TEST(ObsAnalyzeCheck, CatchesBadThresholdSeries)
+TEST(ObsAnalyzeCheck, SchemaTwoThresholdSeriesStillPasses)
 {
     LoadedReport r;
     std::string err;
-    // A threshold series whose op axis moves backwards and whose
-    // radians array is one short.
+    // Before the adaptive threshold left, reports carried a
+    // pgss.threshold stat (report schema 4) and a threshold series per
+    // timeline run (timelines schema 2); such a report still loads
+    // and passes check.
     ASSERT_TRUE(pgss::obs::loadReportFromString(
-        "{\"schema\":\"pgss-run-report\",\"schema_version\":3,"
-        "\"program\":\"x\",\"stats\":{},"
-        "\"timelines\":{\"schema_version\":1,"
+        "{\"schema\":\"pgss-run-report\",\"schema_version\":4,"
+        "\"program\":\"x\",\"stats\":{\"pgss\":{\"threshold\":0.1}},"
+        "\"timelines\":{\"schema_version\":2,"
         "\"runs\":[{\"label\":\"r\",\"threshold\":"
-        "{\"op\":[20,10],\"radians\":[0.1]}}]}}",
+        "{\"op\":[10,20],\"radians\":[0.1,0.2]}}]}}",
         r, &err))
         << err;
     const CheckResult res = pgss::obs::checkReport(r);
-    ASSERT_EQ(res.violations.size(), 2u);
-    for (const std::string &v : res.violations)
-        EXPECT_NE(v.find("threshold"), std::string::npos) << v;
+    EXPECT_TRUE(res.violations.empty());
 }
 
 TEST(ObsAnalyzeProfile, FlattensProfilePathsAndPassesChecks)

@@ -84,7 +84,7 @@ TEST(ObsReport, ReportCarriesSchemaAndSections)
     EXPECT_EQ(doc.back(), '}');
     EXPECT_NE(doc.find("\"schema\":\"pgss-run-report\""),
               std::string::npos);
-    EXPECT_NE(doc.find("\"schema_version\":4"), std::string::npos);
+    EXPECT_NE(doc.find("\"schema_version\":5"), std::string::npos);
     EXPECT_NE(doc.find("\"program\":\"test_report\""),
               std::string::npos);
     EXPECT_NE(doc.find("\"meta\":{"), std::string::npos);

@@ -2,7 +2,7 @@
  * @file
  * Span-profiler tests: ring wrap/overflow accounting, self-vs-total
  * nesting arithmetic under an injected deterministic clock, category
- * aggregation, multi-thread interleaving under util::ThreadPool (the
+ * aggregation, multi-thread interleaving under util::parallelFor (the
  * TSan job exercises this), the cheap-when-off guarantee, overhead
  * calibration, and both sinks — trace_event JSON validity plus an
  * exact golden-file comparison, and the "profile" report section.
@@ -205,31 +205,26 @@ TEST(ObsSpans, ProfileSectionAggregatesFlatTreeAndCategories)
 TEST(ObsSpans, MultiThreadSpansLandInPerThreadBuffers)
 {
     ProfilerGuard guard;
-    SpanProfilerConfig config; // real clock: pool threads run live
+    SpanProfilerConfig config; // real clock: worker threads run live
     pgss::obs::setSpanProfiler(
         std::make_unique<SpanProfiler>(config));
     SpanProfiler *prof = pgss::obs::spanProfiler();
 
     constexpr std::size_t kWorkers = 4;
     constexpr std::size_t kSpansPer = 16;
-    {
-        pgss::util::ThreadPool pool(kWorkers);
-        std::atomic<std::size_t> started{0};
-        for (std::size_t w = 0; w < kWorkers; ++w)
-            pool.submit([&started] {
-                // Hold every worker inside its task until all four
-                // have one: each thread records spans, so the buffer
-                // count below is deterministic.
-                ++started;
-                while (started.load() < kWorkers) {
-                }
-                for (std::size_t i = 0; i < kSpansPer; ++i) {
-                    ScopedSpan span("worker.task", SpanCat::Bench);
-                    span.addOps(10);
-                }
-            });
-        pool.wait();
-    }
+    std::atomic<std::size_t> started{0};
+    pgss::util::parallelFor(kWorkers, kWorkers, [&started](std::size_t) {
+        // Hold every thread inside its body until all four have one:
+        // no thread takes two bodies, each records spans, so the
+        // buffer count below is deterministic.
+        ++started;
+        while (started.load() < kWorkers) {
+        }
+        for (std::size_t i = 0; i < kSpansPer; ++i) {
+            ScopedSpan span("worker.task", SpanCat::Bench);
+            span.addOps(10);
+        }
+    });
 
     // Workers joined: every task recorded exactly once, the per-
     // thread sums reconcile, and each pool thread kept its own name.

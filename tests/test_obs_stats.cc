@@ -2,13 +2,12 @@
  * @file
  * Tests for the stats registry: registration, pull-style snapshots,
  * formula evaluation, dotted-path lookup, duplicate-name enforcement,
- * and the text/JSON dump formats.
+ * and the JSON dump.
  */
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -164,32 +163,19 @@ TEST(ObsStats, ChildIsCreateOrGet)
     EXPECT_EQ(reg.root().children().size(), 1u);
 }
 
-TEST(ObsStats, TextDumpUsesDottedNames)
-{
-    StatsRegistry reg;
-    FakeCache cache;
-    cache.registerStats(reg.root());
-    cache.hits = 5;
-
-    std::ostringstream os;
-    reg.dumpText(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("l1.hits"), std::string::npos);
-    EXPECT_NE(text.find("l1.miss_ratio"), std::string::npos);
-    EXPECT_NE(text.find('5'), std::string::npos);
-}
-
-TEST(ObsStats, JsonDumpCarriesSchemaHeader)
+TEST(ObsStats, JsonDumpCarriesGroupsAndValues)
 {
     StatsRegistry reg;
     FakeCache cache;
     cache.registerStats(reg.root());
     cache.hits = 11;
 
-    const std::string doc = reg.dumpJsonString();
-    EXPECT_NE(doc.find("\"schema\":\"pgss-stats\""),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"schema_version\":1"), std::string::npos);
+    JsonWriter w;
+    w.beginObject();
+    reg.dumpJson(w);
+    w.endObject();
+    const std::string doc = w.str();
+    EXPECT_NE(doc.find("\"stats\""), std::string::npos);
     EXPECT_NE(doc.find("\"l1\""), std::string::npos);
     EXPECT_NE(doc.find("\"hits\":11"), std::string::npos);
 }

@@ -4,10 +4,9 @@
  * first/last points and bounded memory; each run records through its
  * own handle, also from concurrent threads; per-phase convergence
  * curves are deterministic under a fixed RNG seed and their CI
- * narrows; an adaptive run records every threshold move.
+ * narrows.
  */
 
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -117,7 +116,6 @@ TEST(TimelineRecorderTest, RunsPhasesAndCurvesRecord)
     rec->recordPhase(b, 50, 7);
     rec->recordPhase(a, 200, 1);
     rec->recordConvergence(a, 1, 150, 1, 2.0, 0.5, false);
-    rec->recordThreshold(b, 60, 0.3);
     rec->recordPhase(a, 300, 2);
     rec->recordConvergence(a, 1, 250, 2, 2.1, 0.2, false);
     rec->recordConvergence(a, 2, 350, 1, 3.0, 0.4, true);
@@ -129,12 +127,10 @@ TEST(TimelineRecorderTest, RunsPhasesAndCurvesRecord)
     ASSERT_EQ(runs[0].curves.size(), 2u);
     EXPECT_EQ(runs[0].curves[0].phase, 1u);
     EXPECT_EQ(runs[0].curves[0].series.recorded(), 2u);
-    EXPECT_EQ(runs[0].threshold.recorded(), 0u);
     EXPECT_EQ(runs[1].label, "b");
     EXPECT_EQ(runs[1].phase_timeline.recorded(), 1u);
     EXPECT_EQ(runs[1].phase_timeline.points()[0].phase, 7u);
     EXPECT_TRUE(runs[1].curves.empty());
-    EXPECT_EQ(runs[1].threshold.recorded(), 1u);
 }
 
 TEST(TimelineRecorderTest, DropsRunsBeyondCapAndCounts)
@@ -154,9 +150,8 @@ TEST(TimelineRecorderTest, DropsRunsBeyondCapAndCounts)
     // Past the cap, and from a default handle, records are discarded
     // silently: the last kept run gains nothing.
     rec->recordPhase(handles.back(), 20, 1);
-    rec->recordThreshold(TimelineHandle{}, 20, 0.5);
+    rec->recordPhase(TimelineHandle{}, 20, 1);
     EXPECT_EQ(rec->runs().back().phase_timeline.recorded(), 1u);
-    EXPECT_EQ(rec->runs().back().threshold.recorded(), 0u);
 }
 
 TEST(TimelineRecorderTest, DumpJsonIsValidAndComplete)
@@ -167,7 +162,6 @@ TEST(TimelineRecorderTest, DumpJsonIsValidAndComplete)
     rec->recordConvergence(run, 0, 64, 1, 1.5,
                            std::numeric_limits<double>::infinity(),
                            false);
-    rec->recordThreshold(run, 64, 0.25);
 
     pgss::obs::JsonValue doc;
     std::string err;
@@ -175,8 +169,8 @@ TEST(TimelineRecorderTest, DumpJsonIsValidAndComplete)
         << err;
     const pgss::obs::JsonValue *tl = doc.get("timelines");
     ASSERT_TRUE(tl);
-    EXPECT_EQ(tl->get("schema_version")->asUint(), 2u);
-    // Schema 2: no counter snapshots and none of their fields.
+    EXPECT_EQ(tl->get("schema_version")->asUint(), 3u);
+    // No counter snapshots and none of their fields.
     for (const char *gone : {"counters", "interval_ops", "global_ops",
                              "snapshot_compactions"})
         EXPECT_EQ(tl->get(gone), nullptr) << gone;
@@ -190,12 +184,9 @@ TEST(TimelineRecorderTest, DumpJsonIsValidAndComplete)
     const pgss::obs::JsonValue *curve = conv->get("0");
     ASSERT_TRUE(curve);
     EXPECT_TRUE(curve->get("ci_rel")->array[0].isNull());
-    const pgss::obs::JsonValue *th = runs->array[0].get("threshold");
-    ASSERT_TRUE(th);
-    ASSERT_EQ(th->get("op")->array.size(), 1u);
-    EXPECT_EQ(th->get("op")->array[0].asUint(), 64u);
-    ASSERT_EQ(th->get("radians")->array.size(), 1u);
-    EXPECT_DOUBLE_EQ(th->get("radians")->array[0].number, 0.25);
+    // Schema 3: the threshold is fixed, so runs carry no threshold
+    // series.
+    EXPECT_EQ(runs->array[0].get("threshold"), nullptr);
 }
 
 // ---- End-to-end: PGSS controller feeds the recorder ---------------
@@ -253,37 +244,12 @@ TEST(TimelinePgssTest, CurvesNarrowAndCloseDeterministically)
         }
     }
 
-    // Determinism: the fixed jitter seed reproduces the whole section
-    // — phase timelines, convergence curves and threshold series.
+    // Determinism: the fixed jitter start reproduces the whole
+    // section — phase timelines and convergence curves.
     const std::string first = timelinesJson(*rec);
     pgss::obs::setTimelineRecorder(std::make_unique<TimelineRecorder>());
     runPgssWithTimelines();
     EXPECT_EQ(first, timelinesJson(*pgss::obs::timelines()));
-}
-
-TEST(TimelinePgssTest, AdaptiveThresholdMovesAreRecorded)
-{
-    using namespace pgss;
-    ScopedRecorder rec;
-    auto built = test::twoPhaseWorkload(300'000.0, 4);
-    sim::SimulationEngine engine(built.program);
-    core::PgssConfig config;
-    config.bbv_period = 10'000;
-    // Mis-tuned high: the two phases merge, so the pooled CPI
-    // dispersion pushes the threshold down.
-    config.threshold = 0.25 * M_PI;
-    config.adaptive.enabled = true;
-    const core::PgssResult result =
-        core::PgssController(config).run(engine);
-    ASSERT_GT(result.threshold_adjustments, 0u);
-
-    ASSERT_EQ(rec->runs().size(), 1u);
-    const TimelineRun &run = rec->runs().front();
-    EXPECT_EQ(run.threshold.recorded(), result.threshold_adjustments);
-    const std::vector<pgss::obs::ThresholdPoint> moves =
-        run.threshold.points();
-    ASSERT_FALSE(moves.empty());
-    EXPECT_EQ(moves.back().radians, result.final_threshold);
 }
 
 TEST(TimelinePgssTest, DisabledRecorderRecordsNothing)

@@ -75,6 +75,23 @@ TEST(Env, DoubleMalformedFallsBack)
     EXPECT_DOUBLE_EQ(envDouble("PGSS_TEST_VAR", 3.0), 3.0);
 }
 
+TEST(Env, DoubleNonFiniteFallsBack)
+{
+    for (const char *v : {"nan", "inf", "-inf"}) {
+        ScopedEnv guard("PGSS_TEST_VAR", v);
+        EXPECT_DOUBLE_EQ(envDouble("PGSS_TEST_VAR", 1.0), 1.0) << v;
+    }
+}
+
+TEST(Env, NanKnobsUseTheirDefaults)
+{
+    // Read only: jobCount() starts no threads.
+    ScopedEnv jobs("PGSS_JOBS", "nan");
+    ScopedEnv scale("PGSS_SCALE", "nan");
+    EXPECT_EQ(jobCount(), 1u);
+    EXPECT_DOUBLE_EQ(workloadScale(), 1.0);
+}
+
 TEST(Env, WorkloadScaleDefaultsToOne)
 {
     ScopedEnv guard("PGSS_SCALE", nullptr);

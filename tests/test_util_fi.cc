@@ -62,6 +62,14 @@ TEST_F(FiTest, ParseErrors)
     EXPECT_FALSE(fi::configure("site=a,mode=bogus", &err));
     EXPECT_FALSE(fi::configure("site=a,mode=fail-nth:0", &err));
     EXPECT_FALSE(fi::configure("site=a,mode=fail-rate:1.5", &err));
+    // Numbers are parsed whole: no NaN, trailing text, sign or
+    // non-digit seed.
+    EXPECT_FALSE(fi::configure("site=a,mode=fail-rate:nan", &err));
+    EXPECT_FALSE(fi::configure("site=a,mode=fail-rate:0.5xyz", &err));
+    EXPECT_FALSE(fi::configure("site=a,mode=fail-nth:3x", &err));
+    EXPECT_FALSE(fi::configure("site=a,mode=fail-nth:-1", &err));
+    EXPECT_FALSE(
+        fi::configure("site=a,mode=fail-always,seed=abc", &err));
     EXPECT_FALSE(fi::configure("site=a,mode=fail-always,zzz=1", &err));
     // A failed configure leaves the previous (empty) config in force.
     EXPECT_FALSE(fi::active());

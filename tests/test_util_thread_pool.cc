@@ -1,9 +1,10 @@
-/** @file Tests for the worker pool behind the parallel bench harness. */
+/** @file Tests for parallelFor, behind the parallel bench harness. */
 
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -13,52 +14,6 @@
 #include "util/thread_pool.hh"
 
 using namespace pgss;
-
-TEST(ThreadPool, RunsEverySubmittedTask)
-{
-    util::ThreadPool pool(4);
-    EXPECT_EQ(pool.workerCount(), 4u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    util::ThreadPool pool(2);
-    std::atomic<int> count{0};
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ThreadPool, DestructorDrainsQueue)
-{
-    std::atomic<int> count{0};
-    {
-        util::ThreadPool pool(3);
-        for (int i = 0; i < 50; ++i)
-            pool.submit([&count] { count.fetch_add(1); });
-        // no wait(): the destructor must finish the queue first
-    }
-    EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, ZeroWorkersClampsToOne)
-{
-    util::ThreadPool pool(0);
-    EXPECT_EQ(pool.workerCount(), 1u);
-    std::atomic<int> count{0};
-    pool.submit([&count] { count.fetch_add(1); });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
@@ -105,6 +60,23 @@ TEST(ParallelFor, ZeroItemsIsANoOp)
     bool called = false;
     util::parallelFor(0, 8, [&called](std::size_t) { called = true; });
     EXPECT_FALSE(called);
+}
+
+TEST(ParallelFor, BodyExceptionReachesCaller)
+{
+    // A throwing body must not end the program from a worker thread:
+    // the threads join and the caller gets the exception, as on the
+    // inline path.
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+        EXPECT_THROW(util::parallelFor(64, jobs,
+                                       [](std::size_t i) {
+                                           if (i == 3)
+                                               throw std::runtime_error(
+                                                   "body 3");
+                                       }),
+                     std::runtime_error)
+            << "jobs " << jobs;
+    }
 }
 
 TEST(ParallelFor, IndexedSlotsGiveDeterministicResults)
