@@ -127,8 +127,9 @@ main(int argc, char **argv)
         sampling::runSmarts(smarts_engine, smarts_cfg);
     std::string smarts_strip = emptyStrip();
     for (std::uint64_t s = 0; s < smarts.result.n_samples; ++s) {
-        const double at = static_cast<double>(s + 1) *
-                          (smarts_cfg.ff_period + 4'000.0);
+        const double at =
+            static_cast<double>((s + 1) *
+                                (smarts_cfg.ff_period + sim::kSampleOps));
         mark(smarts_strip, at, total_ops, '|');
     }
 

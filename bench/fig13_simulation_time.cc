@@ -128,10 +128,13 @@ main(int argc, char **argv)
             const double n =
                 static_cast<double>(e.profile.totalOps());
 
-            // SMARTS: functional warming between 4k-op sample
-            // windows.
-            const double smarts_samples = n / 1'004'000.0;
-            const double smarts_det = smarts_samples * 4'000.0;
+            // SMARTS: functional warming between detailed samples,
+            // one per ff_period plus the sample unit.
+            const double smarts_samples =
+                n / static_cast<double>(sampling::SmartsConfig{}.ff_period +
+                                        sim::kSampleOps);
+            const double smarts_det =
+                smarts_samples * static_cast<double>(sim::kSampleOps);
             const double smarts_ff = n - smarts_det;
 
             // SimPoint (10 clusters x 10M): one fast BBV-collection

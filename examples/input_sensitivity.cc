@@ -18,12 +18,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "analysis/interval_profile.hh"
 #include "core/pgss_controller.hh"
 #include "obs/report.hh"
 #include "sampling/simpoint_sampler.hh"
+#include "util/env.hh"
 #include "workload/suite.hh"
 
 int
@@ -33,15 +34,20 @@ main(int argc, char **argv)
     obs::initFromCli(argc, argv, "input_sensitivity");
 
     const std::string name = argc > 1 ? argv[1] : "164.gzip";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+    const std::optional<double> scale =
+        argc > 2 ? util::parseDouble(argv[2]) : 0.1;
+    if (!scale) {
+        std::fprintf(stderr, "usage: input_sensitivity [workload] [scale]\n");
+        return 2;
+    }
     constexpr std::uint64_t interval = 1'000'000;
     constexpr std::uint32_t clusters = 10;
 
     // Build both inputs and their ground truths.
     const workload::BuiltWorkload in0 =
-        workload::buildWorkload(name, scale, 0);
+        workload::buildWorkload(name, *scale, 0);
     const workload::BuiltWorkload in1 =
-        workload::buildWorkload(name, scale, 1);
+        workload::buildWorkload(name, *scale, 1);
     const analysis::IntervalProfile prof0 =
         analysis::buildIntervalProfile(in0.program);
     const analysis::IntervalProfile prof1 =

@@ -13,11 +13,12 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "analysis/phase_sequence.hh"
 #include "obs/report.hh"
 #include "stats/running_stats.hh"
+#include "util/env.hh"
 #include "workload/suite.hh"
 
 int
@@ -27,12 +28,19 @@ main(int argc, char **argv)
     obs::initFromCli(argc, argv, "phase_explorer");
 
     const std::string name = argc > 1 ? argv[1] : "179.art";
-    const double threshold =
-        (argc > 2 ? std::atof(argv[2]) : 0.05) * M_PI;
-    const double scale = argc > 3 ? std::atof(argv[3]) : 0.1;
+    const std::optional<double> threshold_pi =
+        argc > 2 ? util::parseDouble(argv[2]) : 0.05;
+    const std::optional<double> scale =
+        argc > 3 ? util::parseDouble(argv[3]) : 0.1;
+    if (!threshold_pi || !scale) {
+        std::fprintf(stderr, "usage: phase_explorer [workload] "
+                             "[threshold/pi] [scale]\n");
+        return 2;
+    }
+    const double threshold = *threshold_pi * M_PI;
 
     const workload::BuiltWorkload built =
-        workload::buildWorkload(name, scale);
+        workload::buildWorkload(name, *scale);
     const analysis::IntervalProfile profile =
         analysis::buildIntervalProfile(built.program);
     const analysis::PhaseSequence seq =

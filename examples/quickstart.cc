@@ -14,14 +14,16 @@
  *   scale: dynamic-length multiplier (default 0.1 for a fast demo)
  */
 
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "analysis/interval_profile.hh"
 #include "core/pgss_controller.hh"
 #include "obs/report.hh"
 #include "obs/stats.hh"
 #include "sim/engine.hh"
+#include "util/env.hh"
 #include "workload/suite.hh"
 
 int
@@ -35,12 +37,17 @@ main(int argc, char **argv)
     obs::initFromCli(argc, argv, "quickstart");
 
     const std::string name = argc > 1 ? argv[1] : "164.gzip";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+    const std::optional<double> scale =
+        argc > 2 ? util::parseDouble(argv[2]) : 0.1;
+    if (!scale) {
+        std::fprintf(stderr, "usage: quickstart [workload] [scale]\n");
+        return 2;
+    }
 
     // 1. Build the workload: a real program for the simulated RISC
     //    machine, with phase structure scripted per DESIGN.md.
     const workload::BuiltWorkload built =
-        workload::buildWorkload(name, scale);
+        workload::buildWorkload(name, *scale);
     std::printf("workload %s: %zu static instructions, ~%.1fM "
                 "dynamic ops, %.1f MiB data\n",
                 built.program.name.c_str(), built.program.size(),
@@ -64,7 +71,7 @@ main(int argc, char **argv)
     engine.registerStats(obs::registry().root());
     controller.registerStats(obs::registry().root());
     obs::setReportMeta("workload", built.program.name);
-    obs::setReportMeta("workload_scale", scale);
+    obs::setReportMeta("workload_scale", *scale);
     const core::PgssResult result = controller.run(engine);
 
     std::printf("\nPGSS-Sim estimate: %.3f IPC (error %.2f%%)\n",

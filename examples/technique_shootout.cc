@@ -10,8 +10,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "analysis/interval_profile.hh"
 #include "core/pgss_controller.hh"
@@ -20,6 +20,7 @@
 #include "sampling/simpoint_sampler.hh"
 #include "sampling/smarts.hh"
 #include "sampling/turbosmarts.hh"
+#include "util/env.hh"
 #include "util/table.hh"
 #include "workload/suite.hh"
 
@@ -30,10 +31,15 @@ main(int argc, char **argv)
     obs::initFromCli(argc, argv, "technique_shootout");
 
     const std::string name = argc > 1 ? argv[1] : "183.equake";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+    const std::optional<double> scale =
+        argc > 2 ? util::parseDouble(argv[2]) : 0.1;
+    if (!scale) {
+        std::fprintf(stderr, "usage: technique_shootout [workload] [scale]\n");
+        return 2;
+    }
 
     const workload::BuiltWorkload built =
-        workload::buildWorkload(name, scale);
+        workload::buildWorkload(name, *scale);
     const analysis::IntervalProfile profile =
         analysis::buildIntervalProfile(built.program);
     const double true_ipc = profile.trueIpc();

@@ -9,12 +9,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "analysis/interval_profile.hh"
 #include "core/pgss_controller.hh"
 #include "obs/report.hh"
+#include "util/env.hh"
 #include "util/table.hh"
 #include "workload/suite.hh"
 
@@ -25,10 +26,15 @@ main(int argc, char **argv)
     obs::initFromCli(argc, argv, "threshold_tuning");
 
     const std::string name = argc > 1 ? argv[1] : "300.twolf";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+    const std::optional<double> scale =
+        argc > 2 ? util::parseDouble(argv[2]) : 0.1;
+    if (!scale) {
+        std::fprintf(stderr, "usage: threshold_tuning [workload] [scale]\n");
+        return 2;
+    }
 
     const workload::BuiltWorkload built =
-        workload::buildWorkload(name, scale);
+        workload::buildWorkload(name, *scale);
     const analysis::IntervalProfile profile =
         analysis::buildIntervalProfile(built.program);
     const double true_ipc = profile.trueIpc();

@@ -1,7 +1,6 @@
 #include "cluster/kmeans.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "obs/spans.hh"
@@ -157,62 +156,6 @@ kMeans(const std::vector<std::vector<double>> &points, std::uint32_t k,
         }
     }
     return res;
-}
-
-double
-bicScore(const std::vector<std::vector<double>> &points,
-         const KMeansResult &clustering)
-{
-    const double n = static_cast<double>(points.size());
-    const double d = static_cast<double>(points[0].size());
-    const double k = static_cast<double>(clustering.centroids.size());
-    if (n <= k)
-        return -std::numeric_limits<double>::infinity();
-
-    // Spherical Gaussian MLE of the shared variance.
-    const double variance =
-        std::max(clustering.inertia / (d * (n - k)), 1e-12);
-
-    double log_likelihood = 0.0;
-    for (std::uint32_t c = 0; c < clustering.centroids.size(); ++c) {
-        const double nc = clustering.sizes[c];
-        if (nc <= 0.0)
-            continue;
-        log_likelihood += nc * std::log(nc / n);
-        log_likelihood -= nc * d / 2.0 *
-                          std::log(2.0 * M_PI * variance);
-        log_likelihood -= (nc - k / clustering.centroids.size()) *
-                          d / 2.0;
-    }
-    const double params = k * (d + 1.0);
-    return log_likelihood - params / 2.0 * std::log(n);
-}
-
-std::uint32_t
-pickK(const std::vector<std::vector<double>> &points,
-      const std::vector<std::uint32_t> &candidates, double threshold,
-      std::uint64_t seed)
-{
-    util::panicIf(candidates.empty(), "pickK with no candidates");
-    std::vector<double> scores;
-    scores.reserve(candidates.size());
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::uint32_t k : candidates) {
-        const KMeansResult r = kMeans(points, k, 100, seed);
-        scores.push_back(bicScore(points, r));
-        best = std::max(best, scores.back());
-    }
-    // Smallest k reaching the threshold fraction of the best score.
-    // BIC scores are negative; "fraction" follows SimPoint's usage:
-    // a score within (1 - threshold) of the observed range.
-    double worst = best;
-    for (double s : scores)
-        worst = std::min(worst, s);
-    const double cutoff = worst + threshold * (best - worst);
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-        if (scores[i] >= cutoff)
-            return candidates[i];
-    return candidates.back();
 }
 
 } // namespace pgss::cluster

@@ -40,24 +40,6 @@ KMeansResult kMeans(const std::vector<std::vector<double>> &points,
                     std::uint32_t k, std::uint32_t max_iterations = 100,
                     std::uint64_t seed = 0xc1a55e5);
 
-/**
- * Bayesian information criterion of a clustering under a spherical
- * Gaussian model (the x-means formulation SimPoint 3.0 uses to pick
- * k). Larger is better.
- */
-double bicScore(const std::vector<std::vector<double>> &points,
-                const KMeansResult &clustering);
-
-/**
- * SimPoint 3.0's k selection: cluster at each k in @p candidates and
- * return the smallest k whose BIC reaches @p threshold (default 0.9)
- * of the best BIC observed.
- */
-std::uint32_t
-pickK(const std::vector<std::vector<double>> &points,
-      const std::vector<std::uint32_t> &candidates,
-      double threshold = 0.9, std::uint64_t seed = 0xc1a55e5);
-
 } // namespace pgss::cluster
 
 #endif // PGSS_CLUSTER_KMEANS_HH

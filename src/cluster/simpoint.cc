@@ -8,16 +8,16 @@ namespace pgss::cluster
 
 SimPointSelection
 selectSimPoints(const std::vector<bbv::SparseBbv> &interval_bbvs,
-                std::uint32_t k, std::uint32_t dims, std::uint64_t seed)
+                std::uint32_t k)
 {
     util::panicIf(interval_bbvs.empty(),
                   "selectSimPoints with no intervals");
 
-    const RandomProjection proj(dims, seed);
+    const RandomProjection proj(kProjectionDims, kSimPointSeed);
     const auto points = proj.projectAll(interval_bbvs);
 
     SimPointSelection sel;
-    sel.clustering = kMeans(points, k, 100, seed);
+    sel.clustering = kMeans(points, k, 100, kSimPointSeed);
     const std::size_t n = interval_bbvs.size();
     const auto clusters =
         static_cast<std::uint32_t>(sel.clustering.centroids.size());

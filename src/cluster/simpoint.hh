@@ -19,6 +19,11 @@
 namespace pgss::cluster
 {
 
+/** Width of SimPoint's random projection of the BBVs. */
+inline constexpr std::uint32_t kProjectionDims = 15;
+/** Seed of SimPoint's projection and of its k-means++ seeding. */
+inline constexpr std::uint64_t kSimPointSeed = 0xc1a55e5;
+
 /** The chosen simulation points. */
 struct SimPointSelection
 {
@@ -28,16 +33,14 @@ struct SimPointSelection
 };
 
 /**
- * Run the SimPoint selection.
+ * Run the SimPoint selection: project to kProjectionDims dimensions
+ * and cluster, both seeded with kSimPointSeed.
  * @param interval_bbvs per-interval full BBVs, in execution order.
  * @param k number of clusters (phases).
- * @param dims random-projection dimensionality.
- * @param seed clustering/projection seed.
  */
 SimPointSelection
 selectSimPoints(const std::vector<bbv::SparseBbv> &interval_bbvs,
-                std::uint32_t k, std::uint32_t dims = 15,
-                std::uint64_t seed = 0xc1a55e5);
+                std::uint32_t k);
 
 } // namespace pgss::cluster
 

@@ -18,10 +18,7 @@ PgssController::PgssController(const PgssConfig &config)
     : config_(config)
 {
     util::panicIf(config.bbv_period == 0, "bbv_period must be nonzero");
-    util::panicIf(config.detailed_sample == 0,
-                  "detailed_sample must be nonzero");
-    util::panicIf(config.detailed_warmup + config.detailed_sample >
-                      config.bbv_period,
+    util::panicIf(sim::kSampleOps > config.bbv_period,
                   "sample window does not fit in the BBV period");
 }
 
@@ -63,19 +60,17 @@ PgssController::run(sim::SimulationEngine &engine)
     const obs::TimelineHandle tl_run =
         tl ? tl->beginRun("pgss") : obs::TimelineHandle{};
 
-    const std::uint64_t win =
-        config_.detailed_warmup + config_.detailed_sample;
     bool sample_next_period = false;
 
     while (!engine.halted()) {
         // ---- One BBV sampling period, optionally containing a
         // detailed sample at a (jittered) offset.
         std::uint64_t chunk_ops = 0;
-        bool have_sample = false;
-        double sample_cpi = 0.0;
+        sim::SampleResult sample; // no measured ops without a sample
 
         if (sample_next_period) {
-            const std::uint64_t slack = config_.bbv_period - win;
+            const std::uint64_t slack =
+                config_.bbv_period - sim::kSampleOps;
             std::uint64_t offset = 0;
             if (config_.jitter_samples && slack > 0) {
                 jitter_phase += golden;
@@ -88,19 +83,10 @@ PgssController::run(sim::SimulationEngine &engine)
                 chunk_ops +=
                     engine.run(offset, sim::SimMode::FunctionalWarm)
                         .ops;
-            const sim::RunResult warm = engine.run(
-                config_.detailed_warmup, sim::SimMode::DetailedWarm);
-            const sim::RunResult meas = engine.run(
-                config_.detailed_sample,
-                sim::SimMode::DetailedMeasure);
-            chunk_ops += warm.ops + meas.ops;
-            if (meas.ops > 0) {
-                have_sample = true;
-                sample_cpi = static_cast<double>(meas.cycles) /
-                             static_cast<double>(meas.ops);
-            }
+            sample = engine.takeSample();
+            chunk_ops += sample.ops;
             const std::uint64_t rest =
-                config_.bbv_period - offset - warm.ops - meas.ops;
+                config_.bbv_period - offset - sample.ops;
             if (rest > 0)
                 chunk_ops +=
                     engine.run(rest, sim::SimMode::FunctionalWarm).ops;
@@ -129,12 +115,13 @@ PgssController::run(sim::SimulationEngine &engine)
 
         // The sample inside this period is credited to the phase the
         // period was classified as.
+        const bool have_sample = sample.measured_ops > 0;
         if (have_sample) {
-            phase.addSample(sample_cpi, engine.totalOps());
+            phase.addSample(sample.cpi, engine.totalOps());
             ++res.n_samples;
             ++counters_.samples;
             res.timeline.push_back(
-                {engine.totalOps(), phase.id(), sample_cpi});
+                {engine.totalOps(), phase.id(), sample.cpi});
         }
 
         // ---- Decide whether the next period carries a sample

@@ -46,9 +46,8 @@ runSimPointOnBbvs(const std::vector<bbv::SparseBbv> &interval_bbvs,
     if (interval_bbvs.empty())
         return run;
 
-    run.selection = cluster::selectSimPoints(
-        interval_bbvs, config.clusters, config.projection_dims,
-        config.seed);
+    run.selection =
+        cluster::selectSimPoints(interval_bbvs, config.clusters);
 
     // Weighted sum of the representatives' performance.
     double est_cpi = 0.0;

@@ -22,13 +22,15 @@
 namespace pgss::sampling
 {
 
-/** Offline SimPoint parameters. */
+/**
+ * Offline SimPoint parameters. The projection width and the seed are
+ * constants of the selection (cluster::kProjectionDims,
+ * cluster::kSimPointSeed).
+ */
 struct SimPointConfig
 {
     std::uint64_t interval_ops = 10'000'000;
     std::uint32_t clusters = 10;
-    std::uint32_t projection_dims = 15;
-    std::uint64_t seed = 0xc1a55e5;
 };
 
 /** SimPoint output: estimate plus the chosen points. */

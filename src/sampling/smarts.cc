@@ -4,6 +4,7 @@
 
 #include "obs/spans.hh"
 #include "obs/timeline.hh"
+#include "sampling/turbosmarts.hh"
 #include "stats/confidence.hh"
 #include "stats/running_stats.hh"
 
@@ -18,14 +19,11 @@ runSmarts(sim::SimulationEngine &engine, const SmartsConfig &config)
     run.result.technique = "SMARTS";
 
     // SMARTS never stops early, but its convergence curve (the CI of
-    // the single stratum closing at the TurboSMARTS 3%-at-99.7%
-    // target) is what live-sampling diagnostics plot; record it when
-    // timelines are on.
+    // the single stratum closing at the TurboSMARTS target) is what
+    // live-sampling diagnostics plot; record it when timelines are on.
     obs::TimelineRecorder *tl = obs::timelines();
     const obs::TimelineHandle tl_run =
         tl ? tl->beginRun("smarts") : obs::TimelineHandle{};
-    constexpr double kConfidence = 0.997;
-    constexpr double kRelError = 0.03;
 
     stats::RunningStats cpi;
     while (!engine.halted()) {
@@ -33,24 +31,20 @@ runSmarts(sim::SimulationEngine &engine, const SmartsConfig &config)
             config.ff_period, sim::SimMode::FunctionalWarm);
         if (ff.ops == 0 || engine.halted())
             break;
-        engine.run(config.detailed_warmup, sim::SimMode::DetailedWarm);
-        const sim::RunResult meas = engine.run(
-            config.detailed_sample, sim::SimMode::DetailedMeasure);
-        if (meas.ops == 0)
+        const sim::SampleResult sample = engine.takeSample();
+        if (sample.measured_ops == 0)
             break;
-        const double sample_cpi = static_cast<double>(meas.cycles) /
-                                  static_cast<double>(meas.ops);
-        cpi.add(sample_cpi);
-        run.sample_cpis.push_back(sample_cpi);
+        cpi.add(sample.cpi);
+        run.sample_cpis.push_back(sample.cpi);
         if (tl) {
             const double mean = cpi.mean();
-            const double hw = stats::ciHalfWidth(cpi, kConfidence);
+            const double hw = stats::ciHalfWidth(cpi, kTurboConfidence);
             const double rel =
                 mean != 0.0 ? hw / std::abs(mean) : hw;
             tl->recordConvergence(tl_run, 0, engine.totalOps(),
                                   cpi.count(), mean, rel,
                                   cpi.count() >= 2 &&
-                                      rel <= kRelError);
+                                      rel <= kTurboRelativeError);
         }
     }
 

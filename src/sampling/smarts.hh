@@ -2,9 +2,10 @@
  * @file
  * The SMARTS baseline (Wunderlich et al., ISCA 2003): systematic
  * sampling with functional warming. Every sampling unit consists of a
- * long functionally-warmed fast-forward, a short detailed warm-up of
- * transient structures, and a tiny measured window; the estimate is
- * the mean over all measured windows.
+ * long functionally-warmed fast-forward and then the engine's
+ * detailed sample (a short detailed warm-up of transient structures
+ * and a tiny measured window, sim::SimulationEngine::takeSample());
+ * the estimate is the mean over all measured windows.
  */
 
 #ifndef PGSS_SAMPLING_SMARTS_HH
@@ -19,12 +20,13 @@
 namespace pgss::sampling
 {
 
-/** SMARTS parameters (paper values as defaults). */
+/**
+ * SMARTS parameters (the paper's value as default). The sample itself
+ * is the engine's fixed unit (sim::kSampleOps).
+ */
 struct SmartsConfig
 {
-    std::uint64_t ff_period = 1'000'000;   ///< functional warming gap
-    std::uint64_t detailed_warmup = 3'000; ///< pre-sample warm-up
-    std::uint64_t detailed_sample = 1'000; ///< measured window
+    std::uint64_t ff_period = 1'000'000; ///< functional warming gap
 };
 
 /** SMARTS output: the estimate plus every per-sample observation. */

@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "sim/engine.hh"
 #include "stats/confidence.hh"
 #include "stats/running_stats.hh"
 #include "util/random.hh"
@@ -27,7 +28,7 @@ runTurboSmarts(const std::vector<double> &sample_cpis,
     stats::RunningStats cpi;
     for (std::uint32_t idx : order) {
         cpi.add(sample_cpis[idx]);
-        if (stats::withinConfidence(cpi, config.confidence,
+        if (stats::withinConfidence(cpi, kTurboConfidence,
                                     config.relative_error,
                                     config.min_samples)) {
             break;
@@ -37,8 +38,7 @@ runTurboSmarts(const std::vector<double> &sample_cpis,
     res.est_cpi = cpi.mean();
     res.est_ipc = res.est_cpi > 0.0 ? 1.0 / res.est_cpi : 0.0;
     res.n_samples = cpi.count();
-    res.detailed_ops =
-        cpi.count() * (config.detailed_warmup + config.detailed_sample);
+    res.detailed_ops = cpi.count() * sim::kSampleOps;
     res.functional_ops = 0; // live-points replace fast-forwarding
     return res;
 }

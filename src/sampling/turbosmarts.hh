@@ -5,9 +5,10 @@
  * confidence interval converges (the paper's experiments used +/-3%
  * at 99.7%). Here the candidate population is the per-sample CPI
  * vector a SMARTS pass measured once; each drawn sample is charged
- * its detailed warm-up plus measured window, matching the paper's
- * live-points accounting (fast-forwarding is eliminated by the
- * checkpoints). DESIGN.md section 2 documents this substitution.
+ * one detailed-sample unit (sim::kSampleOps: warm-up plus measured
+ * window), matching the paper's live-points accounting
+ * (fast-forwarding is eliminated by the checkpoints). DESIGN.md
+ * section 2 documents this substitution.
  */
 
 #ifndef PGSS_SAMPLING_TURBOSMARTS_HH
@@ -21,14 +22,16 @@
 namespace pgss::sampling
 {
 
-/** TurboSMARTS parameters. */
+/** TurboSMARTS's CI confidence level (the paper's 99.7%). */
+inline constexpr double kTurboConfidence = 0.997;
+/** TurboSMARTS's default CI half-width target (the paper's 3%). */
+inline constexpr double kTurboRelativeError = 0.03;
+
+/** TurboSMARTS parameters; the confidence is kTurboConfidence. */
 struct TurboSmartsConfig
 {
-    double confidence = 0.997;     ///< CI confidence level
-    double relative_error = 0.03;  ///< CI half-width target
+    double relative_error = kTurboRelativeError; ///< CI half-width
     std::uint64_t min_samples = 8; ///< draw at least this many
-    std::uint64_t detailed_warmup = 3'000;
-    std::uint64_t detailed_sample = 1'000;
     std::uint64_t seed = 0x712b05; ///< random-order draw seed
 };
 

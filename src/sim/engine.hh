@@ -13,6 +13,10 @@
  *  - DetailedMeasure: full timing, statistics recorded (the 1,000-op
  *    measured window).
  *
+ * The last two make up the detailed sample that PGSS, SMARTS and
+ * TurboSMARTS all take: SimulationEngine::takeSample() runs one, and
+ * kSampleWarmupOps/kSampleMeasureOps are its two lengths.
+ *
  * Every mode runs the functional core's execute loop with that mode's
  * hooks (DESIGN.md section 9.1). The engine accounts instructions per
  * mode — that accounting is what Figures 12 and 13 are built from —
@@ -100,6 +104,22 @@ struct RunResult
     std::uint64_t cycles = 0; ///< cycles advanced (detailed modes)
 };
 
+/** DetailedWarm ops before each measured window. */
+inline constexpr std::uint64_t kSampleWarmupOps = 3'000;
+/** DetailedMeasure ops in each measured window. */
+inline constexpr std::uint64_t kSampleMeasureOps = 1'000;
+/** Detailed ops one whole sample costs. */
+inline constexpr std::uint64_t kSampleOps =
+    kSampleWarmupOps + kSampleMeasureOps;
+
+/** Result of one takeSample() call. */
+struct SampleResult
+{
+    std::uint64_t ops = 0;          ///< warm-up + measured ops run
+    std::uint64_t measured_ops = 0; ///< ops in the measured window
+    double cpi = 0.0; ///< window cycles / measured_ops; 0 if none
+};
+
 /** One program, one machine, four execution modes. */
 class SimulationEngine
 {
@@ -116,6 +136,13 @@ class SimulationEngine
 
     /** Run to Halt in @p mode. @return instructions executed. */
     RunResult runToCompletion(SimMode mode);
+
+    /**
+     * Take one detailed sample here: kSampleWarmupOps of
+     * DetailedWarm, then kSampleMeasureOps of DetailedMeasure. Either
+     * part stops early at Halt.
+     */
+    SampleResult takeSample();
 
     /** True once the program has executed Halt. */
     bool halted() const { return core_->halted(); }
@@ -193,6 +220,24 @@ class SimulationEngine
 
     ModeOps mode_ops_;
 };
+
+// Defined here, not in engine.cc: a caller of run() inside engine.cc
+// changes which execute<> instantiations GCC inlines into run(), and
+// so the machine code of every mode's loop.
+inline SampleResult
+SimulationEngine::takeSample()
+{
+    const RunResult warm = run(kSampleWarmupOps, SimMode::DetailedWarm);
+    const RunResult meas =
+        run(kSampleMeasureOps, SimMode::DetailedMeasure);
+    SampleResult s;
+    s.ops = warm.ops + meas.ops;
+    s.measured_ops = meas.ops;
+    if (meas.ops > 0)
+        s.cpi = static_cast<double>(meas.cycles) /
+                static_cast<double>(meas.ops);
+    return s;
+}
 
 } // namespace pgss::sim
 

@@ -15,19 +15,23 @@ envString(const char *name, const std::string &def)
     return v && *v ? std::string(v) : def;
 }
 
+std::optional<double>
+parseDouble(const char *text)
+{
+    char *end = nullptr;
+    const double parsed = std::strtod(text, &end);
+    // strtod also accepts "nan" and "inf"; no knob or argument has a
+    // use for them, and NaN slips through range checks.
+    if (end == text || *end != '\0' || !std::isfinite(parsed))
+        return std::nullopt;
+    return parsed;
+}
+
 double
 envDouble(const char *name, double def)
 {
     const char *v = std::getenv(name);
-    if (!v || !*v)
-        return def;
-    char *end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    // strtod also accepts "nan" and "inf"; no knob has a use for
-    // them, and NaN slips through range clamps.
-    if (end == v || *end != '\0' || !std::isfinite(parsed))
-        return def;
-    return parsed;
+    return v ? parseDouble(v).value_or(def) : def;
 }
 
 double

@@ -6,13 +6,15 @@
  * PGSS_PROFILE_CACHE points the ground-truth profile cache somewhere
  * other than the default. Other subsystems read their own knobs
  * through envString()/envDouble(): PGSS_LOG_LEVEL (util/logging),
- * PGSS_STATS_JSON and PGSS_PROFILE_OUT (obs/report).
+ * PGSS_STATS_JSON and PGSS_PROFILE_OUT (obs/report). parseDouble()
+ * is the one number parser for env knobs and command-line numbers.
  */
 
 #ifndef PGSS_UTIL_ENV_HH
 #define PGSS_UTIL_ENV_HH
 
 #include <cstddef>
+#include <optional>
 #include <string>
 
 namespace pgss::util
@@ -22,8 +24,14 @@ namespace pgss::util
 std::string envString(const char *name, const std::string &def);
 
 /**
- * Double env var with default; malformed and non-finite values (nan,
- * inf) fall back to @p def.
+ * All of @p text as one finite double; nullopt when it is empty,
+ * has anything after the number, or reads as nan or inf.
+ */
+std::optional<double> parseDouble(const char *text);
+
+/**
+ * Double env var with default; values parseDouble() rejects fall
+ * back to @p def.
  */
 double envDouble(const char *name, double def);
 

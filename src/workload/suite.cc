@@ -322,7 +322,8 @@ applyInput(WorkloadSpec &spec, std::uint32_t input)
 BuiltWorkload
 buildProgram(const WorkloadSpec &spec, double scale)
 {
-    util::panicIf(scale <= 0.0, "workload scale must be positive");
+    util::panicIf(!std::isfinite(scale) || scale <= 0.0,
+                  "workload scale must be finite and positive");
     ProgramBuilder b(spec.name);
 
     // Emit every kernel instance once; remember entries and sizes.

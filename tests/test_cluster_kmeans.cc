@@ -158,33 +158,3 @@ TEST(KMeansDeathTest, MixedDimensionalityPanics)
 {
     EXPECT_DEATH(kMeans({{1.0}, {1.0, 2.0}}, 1), "dimensionality");
 }
-
-TEST(Bic, PrefersTrueClusterCount)
-{
-    const auto points = separatedBlobs(3, 60, 0.4, 37);
-    const double bic2 = bicScore(points, kMeans(points, 2));
-    const double bic3 = bicScore(points, kMeans(points, 3));
-    EXPECT_GT(bic3, bic2);
-}
-
-TEST(Bic, PenalisesGrossOverfit)
-{
-    const auto points = separatedBlobs(2, 50, 0.4, 41);
-    const double bic2 = bicScore(points, kMeans(points, 2));
-    const double bic40 = bicScore(points, kMeans(points, 40));
-    EXPECT_GT(bic2, bic40);
-}
-
-TEST(PickK, FindsTrueKOnCleanBlobs)
-{
-    const auto points = separatedBlobs(3, 60, 0.3, 43);
-    const std::uint32_t k =
-        pickK(points, {1, 2, 3, 5, 8, 12}, 0.9);
-    EXPECT_GE(k, 3u);
-    EXPECT_LE(k, 5u);
-}
-
-TEST(PickKDeathTest, NoCandidatesPanics)
-{
-    EXPECT_DEATH(pickK({{1.0}}, {}), "candidates");
-}

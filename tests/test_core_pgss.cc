@@ -122,6 +122,19 @@ TEST(Pgss, SpreadingOffSamplesEveryPeriodUntilConverged)
     EXPECT_GE(without.n_samples, with.n_samples);
 }
 
+TEST(Pgss, EachSampleCostsOneUnit)
+{
+    // The paper's sample: 3,000 detailed warm-up ops, then a 1,000-op
+    // measured window, and nothing else in detail.
+    auto built = test::twoPhaseWorkload(250'000.0, 3);
+    sim::SimulationEngine engine(built.program);
+    const PgssResult r = PgssController(testConfig()).run(engine);
+    ASSERT_GT(r.n_samples, 0u);
+    EXPECT_EQ(r.detailed_ops, r.n_samples * 4'000);
+    EXPECT_EQ(r.mode_ops.detailed_warm, r.n_samples * 3'000);
+    EXPECT_EQ(r.mode_ops.detailed_measure, r.n_samples * 1'000);
+}
+
 TEST(Pgss, DeterministicAcrossRuns)
 {
     auto built = test::twoPhaseWorkload(250'000.0, 3);
@@ -186,8 +199,6 @@ TEST(PgssDeathTest, BadConfigPanics)
     EXPECT_DEATH(PgssController c(zero), "bbv_period");
 
     PgssConfig cramped;
-    cramped.bbv_period = 1000;
-    cramped.detailed_warmup = 900;
-    cramped.detailed_sample = 200;
+    cramped.bbv_period = 3'999; // one op short of a 4,000-op sample
     EXPECT_DEATH(PgssController c(cramped), "does not fit");
 }

@@ -55,11 +55,9 @@ TEST(Turbo, NeverExceedsPopulation)
 TEST(Turbo, DetailedOpsProportionalToDraws)
 {
     const auto pop = tightPopulation(2.0, 0.01, 500, 11);
-    TurboSmartsConfig cfg;
-    const SamplerResult r = runTurboSmarts(pop, cfg);
-    EXPECT_EQ(r.detailed_ops,
-              r.n_samples *
-                  (cfg.detailed_warmup + cfg.detailed_sample));
+    const SamplerResult r = runTurboSmarts(pop);
+    // The paper's 3,000 + 1,000-op sample per draw.
+    EXPECT_EQ(r.detailed_ops, r.n_samples * 4'000);
     EXPECT_EQ(r.functional_ops, 0u); // live-points replace FF
 }
 

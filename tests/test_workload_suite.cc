@@ -1,7 +1,9 @@
 /** @file Tests for the synthetic SPEC2000-analogue suite. */
 
 #include <cctype>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -154,7 +156,11 @@ TEST(Suite, ArtHasFineGrainedOscillation)
 
 TEST(SuiteDeathTest, NonPositiveScalePanics)
 {
-    EXPECT_DEATH(buildWorkload("164.gzip", 0.0), "positive");
+    for (double scale : {0.0, -1.0, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
+        EXPECT_DEATH(buildWorkload("164.gzip", scale), "positive")
+            << scale;
+    }
 }
 
 // The suite lint: every evaluation workload, at every input set and
