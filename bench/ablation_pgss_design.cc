@@ -86,54 +86,38 @@ main(int argc, char **argv)
         "Error / detailed ops / phases for each variant; DESIGN.md "
         "sec. 6 documents the choices.");
 
-    const std::vector<std::string> names = {"164.gzip", "179.art",
-                                            "183.equake"};
-    std::vector<bench::Entry> entries(names.size());
-    bench::runEntriesParallel(names.size(), [&](std::size_t i) {
-        entries[i] = bench::loadEntry(names[i]);
-    });
+    const std::vector<bench::Entry> entries =
+        bench::loadSuite({"164.gzip", "179.art", "183.equake"});
 
-    // (entry, variant) runs are independent: fill the result grid on
-    // the harness workers, print serially so output is identical at
-    // any PGSS_JOBS. The per-entry results travel as journaled
-    // payloads (4 round-trip doubles per variant), so a --resume run
-    // replays finished entries byte-identically instead of re-running
-    // them.
+    // Each entry's row holds 4 numbers per variant, printed serially
+    // below, so output is identical at any PGSS_JOBS and after a
+    // --resume replays finished entries from the journal.
     const std::vector<Variant> vars = variants(bench::benchConfig());
-    const std::vector<bench::EntryOutcome> outcomes =
-        bench::runEntriesJournaled(
-            entries, "ablation", [&](std::size_t b) {
-                std::vector<double> vals;
-                vals.reserve(4 * vars.size());
-                for (std::size_t vi = 0; vi < vars.size(); ++vi) {
-                    sim::SimulationEngine engine(
-                        entries[b].built.program, vars[vi].engine);
-                    const core::PgssResult r =
-                        core::PgssController(vars[vi].config)
-                            .run(engine);
-                    vals.push_back(r.est_ipc);
-                    vals.push_back(static_cast<double>(r.n_samples));
-                    vals.push_back(
-                        static_cast<double>(r.detailed_ops));
-                    vals.push_back(static_cast<double>(r.n_phases));
-                }
-                return bench::encodeDoubles(vals);
-            });
+    const std::vector<std::vector<double>> rows = bench::runSuite(
+        entries, "ablation", 4 * vars.size(), [&](std::size_t b) {
+            std::vector<double> row;
+            for (const Variant &v : vars) {
+                sim::SimulationEngine engine(entries[b].built.program,
+                                             v.engine);
+                const core::PgssResult r =
+                    core::PgssController(v.config).run(engine);
+                row.push_back(r.est_ipc);
+                row.push_back(static_cast<double>(r.n_samples));
+                row.push_back(static_cast<double>(r.detailed_ops));
+                row.push_back(static_cast<double>(r.n_phases));
+            }
+            return row;
+        });
 
     bool any_failed = false;
     for (std::size_t b = 0; b < entries.size(); ++b) {
         const bench::Entry &e = entries[b];
         std::printf("\n-- %s (true IPC %.3f) --\n", e.short_name.c_str(),
                     e.profile.trueIpc());
-        std::vector<double> vals;
-        if (!outcomes[b].ok ||
-            !bench::decodeDoubles(outcomes[b].payload, vals) ||
-            vals.size() != 4 * vars.size()) {
+        const std::vector<double> &vals = rows[b];
+        if (vals.empty()) {
             any_failed = true;
-            std::printf("   entry failed: %s\n",
-                        outcomes[b].error.empty()
-                            ? "bad journal payload"
-                            : outcomes[b].error.c_str());
+            std::printf("   entry failed (its error is on stderr)\n");
             continue;
         }
         util::Table t;
@@ -159,10 +143,11 @@ main(int argc, char **argv)
 
     std::printf("\nreading guide: period-start sampling risks "
                 "micro-phase aliasing (art);\ndisabling spreading "
-                "concentrates samples early in each phase; narrower\n"
-                "hashes blur phase signatures (fewer phases, more "
-                "within-phase variance);\na higher sample floor "
-                "costs detail on stable workloads (equake).\n");
+                "concentrates samples early in each phase; 4- and\n"
+                "6-bit hashes find the same phases as 5 bits on these "
+                "workloads, so their\nrows equal the default's; a "
+                "higher sample floor costs detail on stable\n"
+                "workloads (equake).\n");
     bench::finish();
     // Failed entries were isolated, not fatal — but the exit status
     // still reports them so CI (and a --resume retry) notices.

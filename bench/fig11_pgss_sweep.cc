@@ -10,11 +10,12 @@
  *
  * This bench runs PGSS live (functional-warming fast-forward with
  * online BBV tracking plus detailed sample windows) once per
- * configuration per workload: 150 full sampled simulations. The
- * headline grid uses the paper-faithful algorithm (the detailed
- * sample sits at the start of the period); a second, smaller grid
- * shows this library's jittered-placement refinement (DESIGN.md
- * sec. 6), which cures the period/micro-phase aliasing.
+ * configuration per workload: 180 full sampled simulations, the 18
+ * of each workload in one journaled suite entry. The headline grid
+ * uses the paper-faithful algorithm (the detailed sample sits at the
+ * start of the period); a second, smaller grid shows this library's
+ * jittered-placement refinement (DESIGN.md sec. 6), which cures the
+ * period/micro-phase aliasing.
  */
 
 #include <cmath>
@@ -32,6 +33,21 @@ namespace
 
 const std::uint64_t periods[] = {100'000, 1'000'000, 10'000'000};
 const double thresholds[] = {0.05, 0.10, 0.15, 0.20, 0.25};
+constexpr std::size_t kGrid = std::size(periods) * std::size(thresholds);
+
+/** Error of one live PGSS run of @p e. */
+double
+pgssError(const bench::Entry &e, std::uint64_t period, double threshold,
+          bool jitter)
+{
+    core::PgssConfig cfg;
+    cfg.bbv_period = period;
+    cfg.threshold = threshold * M_PI;
+    cfg.jitter_samples = jitter;
+    sim::SimulationEngine engine(e.built.program, bench::benchConfig());
+    const core::PgssResult r = core::PgssController(cfg).run(engine);
+    return std::abs(r.est_ipc - e.profile.trueIpc()) / e.profile.trueIpc();
+}
 
 } // namespace
 
@@ -47,12 +63,37 @@ main(int argc, char **argv)
 
     const std::vector<bench::Entry> suite = bench::loadSuite();
 
-    // error[period][threshold][workload]
+    // One row per workload: the paper-faithful grid (period-start
+    // samples), row[p * 5 + t] for periods[p] and thresholds[t], then
+    // the jittered ablation at 0.05 pi, row[kGrid + p].
+    const std::vector<std::vector<double>> rows = bench::runSuite(
+        suite, "fig11", kGrid + std::size(periods), [&](std::size_t b) {
+            std::vector<double> row;
+            for (const std::uint64_t period : periods)
+                for (const double th : thresholds)
+                    row.push_back(pgssError(suite[b], period, th, false));
+            for (const std::uint64_t period : periods)
+                row.push_back(pgssError(suite[b], period, 0.05, true));
+            return row;
+        });
+    // Every mean needs every workload, so a failed entry prints no
+    // table; a --resume run retries only the failures.
+    std::string failed;
+    for (std::size_t b = 0; b < suite.size(); ++b)
+        if (rows[b].empty())
+            failed += " " + suite[b].name;
+    if (!failed.empty()) {
+        std::fprintf(stderr, "fig11: failed entries:%s\n", failed.c_str());
+        bench::finish();
+        return 1;
+    }
+
     double best_overall = 1e9;
     std::uint64_t best_period = 0;
     double best_threshold = 0;
 
-    for (const std::uint64_t period : periods) {
+    for (std::size_t pi = 0; pi < std::size(periods); ++pi) {
+        const std::uint64_t period = periods[pi];
         std::printf("\n-- %s-op BBV sample length --\n",
                     period == 100'000
                         ? "100k"
@@ -63,38 +104,16 @@ main(int argc, char **argv)
             header.push_back(util::Table::fmt(th, 2));
         t.setHeader(header);
 
-        // cell[workload][threshold], filled on the harness workers;
-        // rows print serially below so output is PGSS_JOBS-invariant.
-        std::vector<std::vector<double>> cell(
-            suite.size(),
-            std::vector<double>(std::size(thresholds), 0.0));
-        bench::runEntriesParallel(suite.size(), [&](std::size_t b) {
-            const bench::Entry &e = suite[b];
-            for (std::size_t ti = 0; ti < std::size(thresholds);
-                 ++ti) {
-                core::PgssConfig cfg;
-                cfg.bbv_period = period;
-                cfg.threshold = thresholds[ti] * M_PI;
-                cfg.jitter_samples = false; // paper-faithful
-                sim::SimulationEngine engine(e.built.program,
-                                             bench::benchConfig());
-                const core::PgssResult r =
-                    core::PgssController(cfg).run(engine);
-                cell[b][ti] =
-                    std::abs(r.est_ipc - e.profile.trueIpc()) /
-                    e.profile.trueIpc();
-            }
-        });
-
         std::vector<std::vector<double>> errs(
             std::size(thresholds));
         for (std::size_t b = 0; b < suite.size(); ++b) {
             std::vector<std::string> row = {suite[b].short_name};
             for (std::size_t ti = 0; ti < std::size(thresholds);
                  ++ti) {
-                errs[ti].push_back(cell[b][ti]);
-                row.push_back(
-                    util::Table::fmtPercent(cell[b][ti], 2));
+                const double err =
+                    rows[b][pi * std::size(thresholds) + ti];
+                errs[ti].push_back(err);
+                row.push_back(util::Table::fmtPercent(err, 2));
             }
             t.addRow(row);
         }
@@ -132,31 +151,13 @@ main(int argc, char **argv)
                 "threshold 0.05 pi --\n");
     util::Table ab;
     ab.setHeader({"benchmark", "100k", "1M", "10M"});
-    std::vector<std::vector<double>> ab_cell(
-        suite.size(), std::vector<double>(std::size(periods), 0.0));
-    bench::runEntriesParallel(suite.size(), [&](std::size_t b) {
-        const bench::Entry &e = suite[b];
-        for (std::size_t pi = 0; pi < std::size(periods); ++pi) {
-            core::PgssConfig cfg;
-            cfg.bbv_period = periods[pi];
-            cfg.threshold = 0.05 * M_PI;
-            cfg.jitter_samples = true;
-            sim::SimulationEngine engine(e.built.program,
-                                         bench::benchConfig());
-            const core::PgssResult r =
-                core::PgssController(cfg).run(engine);
-            ab_cell[b][pi] =
-                std::abs(r.est_ipc - e.profile.trueIpc()) /
-                e.profile.trueIpc();
-        }
-    });
     std::vector<std::vector<double>> ab_errs(std::size(periods));
     for (std::size_t b = 0; b < suite.size(); ++b) {
         std::vector<std::string> row = {suite[b].short_name};
         for (std::size_t pi = 0; pi < std::size(periods); ++pi) {
-            ab_errs[pi].push_back(ab_cell[b][pi]);
-            row.push_back(
-                util::Table::fmtPercent(ab_cell[b][pi], 2));
+            const double err = rows[b][kGrid + pi];
+            ab_errs[pi].push_back(err);
+            row.push_back(util::Table::fmtPercent(err, 2));
         }
         ab.addRow(row);
     }

@@ -54,6 +54,25 @@ fmtRate(const std::vector<double> &xs)
            util::Table::fmtSci(*hi, 3) + "]";
 }
 
+/**
+ * "median% [min%, max%]" of the BBV overhead on @p mode, one ratio per
+ * repetition: rates[2m][r] / rates[2m + 1][r] - 1 (see measureRates).
+ */
+std::string
+fmtOverhead(const std::vector<std::vector<double>> &rates,
+            sim::SimMode mode)
+{
+    const std::size_t m = static_cast<std::size_t>(mode);
+    std::vector<double> xs;
+    for (std::size_t r = 0; r < rates[2 * m].size(); ++r)
+        xs.push_back(100.0 * (rates[2 * m][r] / rates[2 * m + 1][r] - 1.0));
+    const auto [lo, hi] = std::minmax_element(xs.begin(), xs.end());
+    char buf[80];
+    std::snprintf(buf, sizeof(buf), "%.1f%% [%.1f%%, %.1f%%]", median(xs),
+                  *lo, *hi);
+    return buf;
+}
+
 } // namespace
 
 int
@@ -107,23 +126,23 @@ main(int argc, char **argv)
                    fmtRate(samples[2 * m + 1])});
     std::printf("\n");
     rt.print(std::cout);
-    std::printf("BBV overhead on detailed simulation: %.1f%% "
-                "(paper: ~1%%)\n",
-                100.0 * (r_det / r_det_bbv - 1.0));
-    std::printf("BBV overhead on functional warming: %.1f%% "
-                "(paper: nil)\n\n",
-                100.0 * (r_warm / r_warm_bbv - 1.0));
+    // Each repetition times a mode without and then with BBV back to
+    // back, so the pair shares the host's drift: print the spread of
+    // the per-repetition ratios, not a ratio of medians.
+    std::printf("BBV overhead on detailed simulation: %s (paper: ~1%%)\n",
+                fmtOverhead(samples, SimMode::DetailedMeasure).c_str());
+    std::printf("BBV overhead on functional warming: %s (paper: nil)\n",
+                fmtOverhead(samples, SimMode::FunctionalWarm).c_str());
+    std::printf("(median [min, max] of the %d per-repetition pairs)\n\n",
+                kReps);
 
-    // Per-technique op counts over the whole suite. Each entry's
-    // contributions land in slot b (computed on harness workers);
-    // summation happens serially in suite order afterwards, so totals
-    // are bit-identical at any PGSS_JOBS. The eight per-entry doubles
-    // travel as a journaled payload, so a killed run resumed with
-    // --resume re-aggregates exactly the numbers the finished entries
-    // produced.
+    // Per-technique op counts over the whole suite. Each entry's eight
+    // counts form its row; summation happens serially in suite order
+    // afterwards, so totals are bit-identical at any PGSS_JOBS and
+    // after a --resume replays the finished entries.
     const std::vector<bench::Entry> suite = bench::loadSuite();
-    const std::vector<bench::EntryOutcome> outcomes =
-        bench::runEntriesJournaled(suite, "ops", [&](std::size_t b) {
+    const std::vector<std::vector<double>> counts =
+        bench::runSuite(suite, "ops", 8, [&](std::size_t b) {
             const bench::Entry &e = suite[b];
             const double n =
                 static_cast<double>(e.profile.totalOps());
@@ -158,10 +177,10 @@ main(int argc, char **argv)
                                          bench::benchConfig());
             const core::PgssResult r =
                 core::PgssController(cfg).run(engine);
-            return bench::encodeDoubles(
-                {smarts_ff, smarts_det, sp_ff, sp_det, ol_ff, ol_det,
-                 static_cast<double>(r.mode_ops.functional_warm),
-                 static_cast<double>(r.detailed_ops)});
+            return std::vector<double>{
+                smarts_ff, smarts_det, sp_ff, sp_det, ol_ff, ol_det,
+                static_cast<double>(r.mode_ops.functional_warm),
+                static_cast<double>(r.detailed_ops)};
         });
 
     double smarts_ff = 0, smarts_det = 0;
@@ -169,17 +188,9 @@ main(int argc, char **argv)
     double ol_ff = 0, ol_det = 0;
     double pgss_ff = 0, pgss_det = 0;
     bool any_failed = false;
-    for (std::size_t b = 0; b < suite.size(); ++b) {
-        std::vector<double> v;
-        if (!outcomes[b].ok ||
-            !bench::decodeDoubles(outcomes[b].payload, v) ||
-            v.size() != 8) {
-            any_failed = true;
-            std::fprintf(stderr, "entry %s failed: %s\n",
-                         suite[b].name.c_str(),
-                         outcomes[b].error.empty()
-                             ? "bad journal payload"
-                             : outcomes[b].error.c_str());
+    for (const std::vector<double> &v : counts) {
+        if (v.empty()) {
+            any_failed = true; // runSuite warned with the error
             continue;
         }
         smarts_ff += v[0];

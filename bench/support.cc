@@ -1,13 +1,14 @@
 #include "bench/support.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "analysis/profile_cache.hh"
@@ -27,16 +28,12 @@ namespace pgss::bench
 namespace
 {
 
-/** --journal/--resume plumbing shared by every journaled stage. */
+/** --journal/--resume settings, read by runSuite() at each call. */
 struct JournalState
 {
-    std::string path;   ///< "" = journaling off
+    std::string path; ///< "" = journaling off
     bool resume = false;
-    bool loaded = false;
-    std::unique_ptr<util::Journal> journal;
-    std::mutex mtx; ///< append order + lazy journal open
-    /** stage \x1f entry-name -> payload of recorded successes. */
-    std::map<std::string, std::string> completed;
+    bool used = false; ///< runSuite() was called
 };
 
 JournalState &
@@ -46,77 +43,105 @@ journalState()
     return s;
 }
 
+/**
+ * %.17g is the shortest format guaranteed to round-trip an IEEE
+ * double exactly; byte-identical resumes rest on it.
+ */
 std::string
-journalKey(const std::string &stage, const std::string &entry)
+encodeRow(const std::vector<double> &xs)
 {
-    return stage + '\x1f' + entry;
+    std::string out;
+    char buf[40];
+    for (double x : xs) {
+        if (!out.empty())
+            out.push_back(' ');
+        std::snprintf(buf, sizeof(buf), "%.17g", x);
+        out += buf;
+    }
+    return out;
 }
 
-/** Replay the journal into completed (resume runs only). */
-void
-loadJournalOnce()
+/** The doubles of @p text, or nullopt when any token is not one. */
+std::optional<std::vector<double>>
+decodeRow(const std::string &text)
 {
-    JournalState &js = journalState();
-    std::lock_guard<std::mutex> lock(js.mtx);
-    if (js.loaded)
-        return;
-    js.loaded = true;
-    if (!js.resume || js.path.empty())
-        return;
+    std::vector<double> out;
+    const char *p = text.c_str();
+    while (*p != '\0') {
+        char *end = nullptr;
+        const double v = std::strtod(p, &end);
+        if (end == p)
+            return std::nullopt;
+        out.push_back(v);
+        p = end;
+        while (*p == ' ')
+            ++p;
+    }
+    return out;
+}
+
+/**
+ * Fill rows[i] for every entry of @p entries that has a usable record
+ * of @p stage at scale @p scale in the journal at @p path. Error
+ * records are skipped, so a resume retries what failed; a damaged or
+ * other-scale record is skipped with one warning per entry left
+ * without a row.
+ */
+void
+replayJournal(const std::string &path, const std::vector<Entry> &entries,
+              const std::string &stage, const std::string &scale,
+              std::size_t width, std::vector<std::vector<double>> &rows)
+{
     std::vector<std::string> lines;
     std::size_t torn = 0;
-    util::Journal::readLines(js.path, lines, &torn);
-    std::size_t replayed = 0;
+    util::Journal::readLines(path, lines, &torn);
+    std::vector<std::string> rejected(entries.size());
     for (const std::string &line : lines) {
         obs::JsonValue v;
         if (!obs::parseJson(line, v) || !v.isObject())
-            continue; // foreign or damaged line: ignore, re-run
-        const obs::JsonValue *stage = v.get("stage");
-        const obs::JsonValue *entry = v.get("entry");
+            continue; // foreign or damaged line: its entry re-runs
+        const obs::JsonValue *st = v.get("stage");
+        const obs::JsonValue *name = v.get("entry");
         const obs::JsonValue *ok = v.get("ok");
-        const obs::JsonValue *payload = v.get("payload");
-        if (!stage || !entry || !ok || !stage->isString() ||
-            !entry->isString() || !ok->isBool())
+        if (!st || !name || !ok || !st->isString() ||
+            !name->isString() || !ok->isBool() || st->string != stage)
             continue;
-        // Error records are deliberately not replayed: a resumed run
-        // retries what failed, skips only what succeeded.
-        if (!ok->boolean || !payload || !payload->isString())
+        const auto it = std::find_if(
+            entries.begin(), entries.end(),
+            [&](const Entry &e) { return e.name == name->string; });
+        if (it == entries.end() || !ok->boolean)
             continue;
-        js.completed[journalKey(stage->string, entry->string)] =
-            payload->string;
-        ++replayed;
+        const std::size_t i = it - entries.begin();
+        const obs::JsonValue *sc = v.get("scale");
+        const obs::JsonValue *row = v.get("row");
+        if (!sc || !sc->isString() || sc->string != scale) {
+            if (rejected[i].empty()) // a damaged record says more
+                rejected[i] = "it was recorded at another workload scale";
+            continue;
+        }
+        std::optional<std::vector<double>> xs;
+        if (row && row->isString())
+            xs = decodeRow(row->string);
+        if (!xs || xs->size() != width) {
+            rejected[i] = "its record does not hold " +
+                          std::to_string(width) + " numbers";
+            continue;
+        }
+        rows[i] = std::move(*xs);
+    }
+    std::size_t replayed = 0;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (!rows[i].empty())
+            ++replayed;
+        else if (!rejected[i].empty())
+            util::warn("resume: %s/%s re-runs: %s", stage.c_str(),
+                       entries[i].name.c_str(), rejected[i].c_str());
     }
     if (replayed > 0 || torn > 0)
         util::inform("resume: %zu completed entr%s replayed from %s%s",
                      replayed, replayed == 1 ? "y" : "ies",
-                     js.path.c_str(),
+                     path.c_str(),
                      torn ? " (torn trailing record dropped)" : "");
-}
-
-void
-appendJournalRecord(const std::string &stage, const std::string &entry,
-                    std::size_t index, const EntryOutcome &outcome)
-{
-    JournalState &js = journalState();
-    if (js.path.empty())
-        return;
-    obs::JsonWriter w;
-    w.beginObject();
-    w.field("stage", stage);
-    w.field("entry", entry);
-    w.field("index", std::uint64_t{index});
-    w.field("ok", outcome.ok);
-    if (outcome.ok)
-        w.field("payload", outcome.payload);
-    else
-        w.field("error", outcome.error);
-    w.endObject();
-    std::lock_guard<std::mutex> lock(js.mtx);
-    if (!js.journal)
-        js.journal = std::make_unique<util::Journal>(js.path);
-    if (!js.journal->append(w.str()))
-        util::warn("journal: could not record completion of %s/%s",
-                   stage.c_str(), entry.c_str());
 }
 
 } // anonymous namespace
@@ -131,6 +156,7 @@ init(int &argc, char **argv, const std::string &figure_id)
     JournalState &js = journalState();
     js.path = util::envString("PGSS_JOURNAL", "");
     js.resume = util::envString("PGSS_RESUME", "") == "1";
+    js.used = false;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -154,6 +180,11 @@ init(int &argc, char **argv, const std::string &figure_id)
 void
 finish()
 {
+    const JournalState &js = journalState();
+    if (!js.path.empty() && !js.used)
+        util::warn("journal %s unused: this bench runs no suite entries "
+                   "through it (fig11, fig12, fig13 and the ablation do)",
+                   js.path.c_str());
     obs::finalize();
 }
 
@@ -187,118 +218,80 @@ loadEntry(const std::string &name)
 }
 
 std::vector<Entry>
-loadSuite()
+loadSuite(const std::vector<std::string> &names)
 {
-    const std::vector<std::string> names = workload::suiteNames();
     std::vector<Entry> entries(names.size());
     // Ground-truth profile generation dominates first-run cost; each
     // entry is independent (the profile cache writes distinct files),
     // so load on the harness workers. Slot-indexed assignment keeps
-    // suite order regardless of completion order.
-    runEntriesParallel(names.size(), [&](std::size_t i) {
+    // the order of names regardless of completion order.
+    util::parallelFor(names.size(), util::jobCount(), [&](std::size_t i) {
         entries[i] = loadEntry(names[i]);
     });
     return entries;
 }
 
-std::size_t
-benchJobs()
+std::vector<std::vector<double>>
+runSuite(const std::vector<Entry> &entries, const std::string &stage,
+         std::size_t width,
+         const std::function<std::vector<double>(std::size_t)> &body)
 {
-    return util::jobCount();
-}
-
-void
-runEntriesParallel(std::size_t n,
-                   const std::function<void(std::size_t)> &body)
-{
-    // One span per entry, opened on whichever worker runs it, so the
-    // Perfetto trace shows the suite fanning out across the pool.
-    util::parallelFor(n, benchJobs(), [&body](std::size_t i) {
-        PGSS_SPAN("bench.entry", Bench);
-        body(i);
-    });
-}
-
-std::vector<EntryOutcome>
-runEntriesJournaled(const std::vector<Entry> &entries,
-                    const std::string &stage,
-                    const std::function<std::string(std::size_t)> &body)
-{
-    loadJournalOnce();
     JournalState &js = journalState();
-    std::vector<EntryOutcome> out(entries.size());
+    js.used = true;
+    const std::string scale = encodeRow({benchScale()});
 
-    // Resolve journal hits up front so the parallel pass only spends
-    // workers on the remaining entries.
-    {
-        std::lock_guard<std::mutex> lock(js.mtx);
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            const auto it =
-                js.completed.find(journalKey(stage, entries[i].name));
-            if (it == js.completed.end())
-                continue;
-            out[i].ok = true;
-            out[i].from_journal = true;
-            out[i].payload = it->second;
-        }
-    }
+    std::vector<std::vector<double>> rows(entries.size());
+    if (js.resume && !js.path.empty())
+        replayJournal(js.path, entries, stage, scale, width, rows);
 
-    runEntriesParallel(entries.size(), [&](std::size_t i) {
-        EntryOutcome &o = out[i];
-        if (o.from_journal)
-            return;
+    std::optional<util::Journal> journal;
+    if (!js.path.empty())
+        journal.emplace(js.path);
+    std::mutex append_mtx;
+
+    // One span per entry, opened on whichever worker runs it, so the
+    // Perfetto trace shows the suite fanning out across the workers.
+    util::parallelFor(entries.size(), util::jobCount(), [&](std::size_t i) {
+        if (!rows[i].empty())
+            return; // replayed
+        PGSS_SPAN("bench.entry", Bench);
+        const std::string &name = entries[i].name;
+        std::string error;
         // Per-entry isolation boundary: one entry failing (injected
         // fault, resource exhaustion, workload bug) becomes an error
         // record; the rest of the suite still completes and a later
         // --resume run retries only the failures.
         try {
-            o.payload = body(i);
-            o.ok = true;
+            std::vector<double> row = body(i);
+            if (row.size() != width)
+                throw std::length_error(
+                    "row of " + std::to_string(row.size()) +
+                    " numbers, expected " + std::to_string(width));
+            rows[i] = std::move(row);
         } catch (const std::exception &e) {
-            o.ok = false;
-            o.error = e.what();
+            error = e.what();
             ++util::fi::counter("bench.entry_failed");
-            util::warn("entry %s failed: %s",
-                       entries[i].name.c_str(), e.what());
+            util::warn("entry %s failed: %s", name.c_str(), e.what());
         }
-        appendJournalRecord(stage, entries[i].name, i, o);
+        if (!journal)
+            return;
+        obs::JsonWriter w;
+        w.beginObject();
+        w.field("stage", stage);
+        w.field("entry", name);
+        w.field("scale", scale);
+        w.field("ok", error.empty());
+        if (error.empty())
+            w.field("row", encodeRow(rows[i]));
+        else
+            w.field("error", error);
+        w.endObject();
+        std::lock_guard<std::mutex> lock(append_mtx);
+        if (!journal->append(w.str()))
+            util::warn("journal: could not record completion of %s/%s",
+                       stage.c_str(), name.c_str());
     });
-    return out;
-}
-
-std::string
-encodeDoubles(const std::vector<double> &xs)
-{
-    std::string out;
-    char buf[40];
-    for (double x : xs) {
-        if (!out.empty())
-            out.push_back(' ');
-        // %.17g is the shortest format guaranteed to round-trip an
-        // IEEE double exactly — the byte-identical-resume contract
-        // rests on it.
-        std::snprintf(buf, sizeof(buf), "%.17g", x);
-        out += buf;
-    }
-    return out;
-}
-
-bool
-decodeDoubles(const std::string &payload, std::vector<double> &out)
-{
-    out.clear();
-    const char *p = payload.c_str();
-    while (*p != '\0') {
-        char *end = nullptr;
-        const double v = std::strtod(p, &end);
-        if (end == p)
-            return false;
-        out.push_back(v);
-        p = end;
-        while (*p == ' ')
-            ++p;
-    }
-    return true;
+    return rows;
 }
 
 namespace

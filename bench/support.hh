@@ -34,7 +34,8 @@ struct Entry
 /**
  * Observability plumbing shared by every bench: parse and strip the
  * obs flags (--stats-json= / --timelines / --profile /
- * --profile-out=, see obs::parseObsFlags), install the timeline
+ * --profile-out=, see obs::parseObsFlags) and the journal flags
+ * (--journal= / --resume, see runSuite), install the timeline
  * recorder and span profiler, register the abnormal-exit flush
  * handlers, and stamp the report with the figure id and workload
  * scale. Call first thing in main().
@@ -44,7 +45,8 @@ void init(int &argc, char **argv, const std::string &figure_id);
 /**
  * Write the outputs the obs flags requested: the run report (the
  * fi.* and robust.* stats, plus the profile and timelines sections
- * when on) and the Perfetto trace. Call last in main().
+ * when on) and the Perfetto trace. Warns when a journal was given to
+ * a bench that never called runSuite(). Call last in main().
  */
 void finish();
 
@@ -61,59 +63,35 @@ const sim::EngineConfig &benchConfig();
 Entry loadEntry(const std::string &name);
 
 /**
- * loadEntry() over the paper's ten evaluation workloads. Entries load
- * (and ground-truth profiles build) on benchJobs() workers; the
- * returned order is always suite order.
+ * loadEntry() over @p names, by default the paper's ten evaluation
+ * workloads. Entries load (and ground-truth profiles build) on the
+ * PGSS_JOBS workers; the returned order is always the order of
+ * @p names.
  */
-std::vector<Entry> loadSuite();
-
-/** Harness worker threads (PGSS_JOBS env; default 1 = serial). */
-std::size_t benchJobs();
+std::vector<Entry>
+loadSuite(const std::vector<std::string> &names = workload::suiteNames());
 
 /**
- * Run @p body(i) for every index in [0, n) on benchJobs() workers.
- * The per-entry convention that keeps parallel output identical to a
- * serial run: compute into pre-sized index-addressed slots inside
- * @p body, print serially afterwards. With PGSS_JOBS=1 (default) this
- * is a plain in-order loop on the calling thread.
+ * Run a suite's entries: @p body(i) computes entry i's row of
+ * @p width doubles (width > 0), on the PGSS_JOBS workers (unset or 1
+ * = serial, in order, on the calling thread). @return one row per
+ * entry, in entry order. Print from the rows afterwards, serially, and
+ * the output is identical at any PGSS_JOBS and after a resume.
+ *
+ * Under --journal=PATH (env PGSS_JOURNAL) each finished entry appends
+ * one durable JSONL record keyed by @p stage, the entry name and the
+ * workload scale, holding its row as %.17g round-trip doubles. Under
+ * --resume (env PGSS_RESUME=1) the journal is read at each call and
+ * an entry with a matching record is replayed instead of run. A
+ * record that does not decode to @p width doubles, or that was written
+ * at another scale, is not replayed: its entry runs again, with one
+ * warning. A body that throws becomes an error record and a warning,
+ * and its row comes back empty; a resume retries it.
  */
-void runEntriesParallel(std::size_t n,
-                        const std::function<void(std::size_t)> &body);
-
-/** What one journaled entry produced (see runEntriesJournaled). */
-struct EntryOutcome
-{
-    bool ok = false;           ///< body completed (now or earlier)
-    bool from_journal = false; ///< replayed from the journal
-    std::string payload;       ///< body's serialized result
-    std::string error;         ///< what() when the body threw
-};
-
-/**
- * Resumable variant of runEntriesParallel(): run
- * @p body(i) -> payload for every entry not already completed in the
- * journal, recording one durable JSONL record per finished entry
- * (keyed by @p stage + entry name). With --resume, entries whose
- * success records are in the journal are skipped and their payloads
- * returned as recorded — the caller decodes payloads identically in
- * both cases, so resumed output is byte-identical to an uninterrupted
- * run. A body that throws becomes an error outcome (and an error
- * record) instead of taking down the suite; error records are retried
- * on resume. Without --journal this degrades to plain parallel
- * execution with per-entry isolation.
- */
-std::vector<EntryOutcome>
-runEntriesJournaled(const std::vector<Entry> &entries,
-                    const std::string &stage,
-                    const std::function<std::string(std::size_t)> &body);
-
-/**
- * Encode doubles so decode(encode(x)) == x exactly (%.17g round
- * trip) — the payload convention journaled benches use.
- */
-std::string encodeDoubles(const std::vector<double> &xs);
-bool decodeDoubles(const std::string &payload,
-                   std::vector<double> &out);
+std::vector<std::vector<double>>
+runSuite(const std::vector<Entry> &entries, const std::string &stage,
+         std::size_t width,
+         const std::function<std::vector<double>(std::size_t)> &body);
 
 /** One host-throughput measurement of measureRates(). */
 struct RateSpec

@@ -5,11 +5,13 @@
 # ticking, exit 0, and no crashes. Registered as ctest entries with
 # LABEL chaos (ctest -L chaos).
 #
-# Usage: chaos_test.sh <scenario> <ablation-bench-binary>
+# Usage: chaos_test.sh <scenario> <bench-binary> [scale]
+# The journal-replay scenario runs fig11 or fig12; the others run the
+# ablation. The scale defaults to 0.02.
 set -u
 
 scenario="${1:?scenario}"
-bench="${2:?path to ablation_pgss_design}"
+bench="${2:?path to a bench binary}"
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/pgss_chaos_${scenario}.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
@@ -17,7 +19,7 @@ cd "$work"
 
 # Tiny but nontrivial workloads; a private profile cache per scenario
 # so runs are hermetic and quarantine checks see only our files.
-export PGSS_SCALE=0.02
+export PGSS_SCALE="${3:-0.02}"
 export PGSS_PROFILE_CACHE="$work/cache"
 export PGSS_JOBS=2
 unset PGSS_FI PGSS_JOURNAL PGSS_RESUME || true
@@ -115,6 +117,20 @@ sigkill-resume)
         fail "replay run failed"
     cmp -s base.out replay.out || fail "journal replay output differs"
     grep -q "resume:" replay.out.err || fail "replay did not report replayed entries"
+    ;;
+
+journal-replay)
+    # A complete journal replays every entry of a ten-workload suite:
+    # the resumed run simulates nothing and prints the journaled run's
+    # stdout byte for byte.
+    run_bench journaled.out --journal="$work/run.journal" ||
+        fail "journaled run failed (exit $?)"
+    [ -s "$work/run.journal" ] || fail "journaled run wrote no journal"
+    run_bench replay.out --journal="$work/run.journal" --resume ||
+        fail "replay run failed (exit $?)"
+    cmp -s journaled.out replay.out || fail "journal replay output differs"
+    grep -q "resume: 10 completed entries replayed" replay.out.err ||
+        fail "replay did not replay all 10 entries"
     ;;
 
 *)
