@@ -14,16 +14,17 @@ classifyProfile(const IntervalProfile &profile, double threshold)
     seq.assignment.reserve(profile.intervals());
 
     for (std::size_t i = 0; i < profile.intervals(); ++i) {
-        const core::MatchResult m =
+        const std::uint32_t id =
             table.classify(profile.bbvUnit(i), threshold);
-        seq.assignment.push_back(m.phase_id);
-        if (m.created)
+        if (id == seq.first_interval.size()) // a new phase opened
             seq.first_interval.push_back(
                 static_cast<std::uint32_t>(i));
+        if (i > 0 && id != seq.assignment.back())
+            ++seq.n_changes;
+        seq.assignment.push_back(id);
     }
 
     seq.n_phases = static_cast<std::uint32_t>(table.size());
-    seq.n_changes = table.phaseChanges();
     seq.occupancy.assign(seq.n_phases, 0);
     for (std::uint32_t p : seq.assignment)
         ++seq.occupancy[p];

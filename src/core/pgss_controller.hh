@@ -6,19 +6,19 @@
  * phase; if the phase's CPI confidence interval is still open and its
  * last sample is at least the spacing distance behind, run the
  * SMARTS-style detailed warm-up and measured window and credit the
- * observation to the phase. The program estimate is the
- * occupancy-weighted combination of per-phase sample means.
+ * observation to the phase. Every period is logged; the program
+ * estimate, the occupancy-weighted combination of per-phase sample
+ * means, is computed from that log after the run.
  */
 
 #ifndef PGSS_CORE_PGSS_CONTROLLER_HH
 #define PGSS_CORE_PGSS_CONTROLLER_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/pgss_config.hh"
-#include "core/phase_table.hh"
 #include "sim/engine.hh"
 
 namespace pgss::obs
@@ -29,12 +29,20 @@ class Group;
 namespace pgss::core
 {
 
-/** One entry of the sample timeline (Figure-1 output). */
-struct SampleEvent
+/**
+ * One BBV period of a run, in execution order: where it started, how
+ * long it ran, the phase it was classified as, and the detailed sample
+ * measured inside it, if any. The run's estimate, phase summaries and
+ * counts are all computed from these records.
+ */
+struct PeriodRecord
 {
-    std::uint64_t at_op = 0;     ///< global op position of the sample
-    std::uint32_t phase_id = 0;  ///< phase it was credited to
-    double cpi = 0.0;            ///< measured CPI
+    std::uint64_t start_op = 0;      ///< global op count at period start
+    std::uint64_t ops = 0;           ///< ops the period ran
+    std::uint32_t phase_id = 0;      ///< phase it was classified as
+    bool sampled = false;            ///< a sample was measured in it
+    std::uint64_t sample_offset = 0; ///< sample start, ops after start_op
+    double cpi = 0.0;                ///< the sample's CPI (0 if none)
 };
 
 /** Summary of one phase at the end of a run. */
@@ -61,14 +69,32 @@ struct PgssResult
     std::uint64_t detailed_ops = 0; ///< warm-up + measured windows
     sim::ModeOps mode_ops;
 
-    std::vector<PhaseSummary> phases;
-    std::vector<SampleEvent> timeline; ///< one entry per sample
+    std::vector<PhaseSummary> phases;  ///< summarizePhases(periods)
+    std::vector<PeriodRecord> periods; ///< one per BBV period
+    std::vector<std::vector<double>> centroids; ///< final, by phase id
 };
+
+/** Per-phase summaries of @p periods for phase ids 0..n_phases-1. */
+std::vector<PhaseSummary>
+summarizePhases(const std::vector<PeriodRecord> &periods,
+                std::size_t n_phases);
+
+/**
+ * The PGSS estimate: the occupancy-weighted mean of the sampled
+ * phases' mean CPIs. A phase without a sample (typically a
+ * one-period transition phase, whose sampling opportunity fell into
+ * the next, differently-classified period) donates its ops to the
+ * sampled phase whose centroid is nearest by BBV angle, so no
+ * execution weight is dropped. 0 when nothing was sampled.
+ */
+double estimateCpi(const std::vector<PhaseSummary> &phases,
+                   const std::vector<std::vector<double>> &centroids);
 
 /**
  * The sampling-decision counts registerStats() exposes. Unlike a
  * PgssResult they accumulate across run() calls on the same
- * controller, so one registry entry covers every run it made.
+ * controller, so one registry entry covers every run it made. Each
+ * run adds its counts when it finishes.
  */
 struct ControllerCounters
 {

@@ -8,7 +8,6 @@ namespace pgss::core
 Phase::Phase(std::uint32_t id, std::vector<double> first_bbv)
     : id_(id), centroid_(first_bbv), sum_(std::move(first_bbv))
 {
-    member_periods_ = 1;
     bbv::normalizeL2(centroid_);
 }
 
@@ -17,7 +16,6 @@ Phase::addMember(const std::vector<double> &bbv)
 {
     for (std::size_t i = 0; i < sum_.size() && i < bbv.size(); ++i)
         sum_[i] += bbv[i];
-    ++member_periods_;
     centroid_ = sum_;
     bbv::normalizeL2(centroid_);
 }

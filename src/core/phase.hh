@@ -1,8 +1,8 @@
 /**
  * @file
  * One detected program phase: its BBV signature (a running centroid
- * of member vectors), its occupancy, and the detailed-sample CPI
- * statistics the per-phase confidence test runs on.
+ * of member vectors) and the detailed-sample CPI statistics the
+ * per-phase confidence test runs on.
  */
 
 #ifndef PGSS_CORE_PHASE_HH
@@ -32,15 +32,6 @@ class Phase
     /** Fold another member BBV into the centroid. */
     void addMember(const std::vector<double> &bbv);
 
-    /** Number of BBV periods classified into this phase. */
-    std::uint64_t memberPeriods() const { return member_periods_; }
-
-    /** Instructions attributed to this phase. */
-    std::uint64_t ops() const { return ops_; }
-
-    /** Attribute @p n instructions to this phase. */
-    void addOps(std::uint64_t n) { ops_ += n; }
-
     /** Detailed-sample CPI observations. */
     const stats::RunningStats &cpi() const { return cpi_; }
 
@@ -57,8 +48,6 @@ class Phase
     std::uint32_t id_;
     std::vector<double> centroid_;
     std::vector<double> sum_; ///< unnormalised running sum
-    std::uint64_t member_periods_ = 0;
-    std::uint64_t ops_ = 0;
     stats::RunningStats cpi_;
     std::uint64_t last_sample_op_ = 0;
 };

@@ -12,62 +12,41 @@ PhaseTable::PhaseTable(bool compare_last_first)
 {
 }
 
-MatchResult
+std::uint32_t
 PhaseTable::classify(const std::vector<double> &unit_bbv,
                      double threshold)
 {
-    MatchResult res;
-
-    if (phases_.empty()) {
-        phases_.emplace_back(0, unit_bbv);
-        current_ = 0;
-        res.phase_id = 0;
-        res.created = true;
-        res.changed = false;
-        return res;
-    }
-
-    // Fast path: it is most likely no phase change occurred.
-    res.angle_to_last =
-        bbv::angleBetweenUnit(unit_bbv, phases_[current_].centroid());
-    if (compare_last_first_ && res.angle_to_last < threshold) {
-        phases_[current_].addMember(unit_bbv);
-        res.phase_id = current_;
-        return res;
-    }
-
-    // Full scan: nearest phase within the threshold wins.
-    double best_angle = std::numeric_limits<double>::max();
-    std::uint32_t best = 0;
-    for (std::uint32_t i = 0; i < phases_.size(); ++i) {
-        const double a =
-            bbv::angleBetweenUnit(unit_bbv, phases_[i].centroid());
-        if (a < best_angle) {
-            best_angle = a;
-            best = i;
+    if (!phases_.empty()) {
+        // Fast path: it is most likely no phase change occurred.
+        if (compare_last_first_ &&
+            bbv::angleBetweenUnit(unit_bbv, phases_[current_].centroid()) <
+                threshold) {
+            phases_[current_].addMember(unit_bbv);
+            return current_;
         }
-    }
 
-    if (best_angle < threshold) {
-        phases_[best].addMember(unit_bbv);
-        if (best != current_) {
-            res.changed = true;
-            ++changes_;
+        // Full scan: nearest phase within the threshold wins.
+        double best_angle = std::numeric_limits<double>::max();
+        std::uint32_t best = 0;
+        for (std::uint32_t i = 0; i < phases_.size(); ++i) {
+            const double a =
+                bbv::angleBetweenUnit(unit_bbv, phases_[i].centroid());
+            if (a < best_angle) {
+                best_angle = a;
+                best = i;
+            }
+        }
+        if (best_angle < threshold) {
+            phases_[best].addMember(unit_bbv);
             current_ = best;
+            return best;
         }
-        res.phase_id = best;
-        return res;
     }
 
-    // No match: open a new phase.
-    const auto id = static_cast<std::uint32_t>(phases_.size());
-    phases_.emplace_back(id, unit_bbv);
-    current_ = id;
-    ++changes_;
-    res.phase_id = id;
-    res.created = true;
-    res.changed = true;
-    return res;
+    // No match (or no phase yet): open a new phase.
+    current_ = static_cast<std::uint32_t>(phases_.size());
+    phases_.emplace_back(current_, unit_bbv);
+    return current_;
 }
 
 } // namespace pgss::core

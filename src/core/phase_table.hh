@@ -17,15 +17,6 @@
 namespace pgss::core
 {
 
-/** Outcome of classifying one period's BBV. */
-struct MatchResult
-{
-    std::uint32_t phase_id = 0;
-    bool created = false;        ///< a new phase was opened
-    bool changed = false;        ///< different phase than last period
-    double angle_to_last = 0.0;  ///< angle to previous period's phase
-};
-
 /** All phases seen so far plus the classification logic. */
 class PhaseTable
 {
@@ -38,11 +29,11 @@ class PhaseTable
 
     /**
      * Classify @p unit_bbv (must be L2-normalised) under @p threshold
-     * radians, updating match statistics and the winning phase's
-     * centroid/occupancy.
+     * radians and fold it into the winning phase's centroid. Returns
+     * the phase id; a new phase gets the next id, size() - 1.
      */
-    MatchResult classify(const std::vector<double> &unit_bbv,
-                         double threshold);
+    std::uint32_t classify(const std::vector<double> &unit_bbv,
+                           double threshold);
 
     /** Number of phases. */
     std::size_t size() const { return phases_.size(); }
@@ -53,22 +44,11 @@ class PhaseTable
 
     /** All phases. */
     const std::vector<Phase> &phases() const { return phases_; }
-    std::vector<Phase> &phases() { return phases_; }
-
-    /** Id of the phase the last period was classified into. */
-    std::uint32_t currentPhase() const { return current_; }
-
-    /** Total phase transitions observed. */
-    std::uint64_t phaseChanges() const { return changes_; }
-
-    /** True until the first classification happens. */
-    bool empty() const { return phases_.empty(); }
 
   private:
     bool compare_last_first_;
     std::vector<Phase> phases_;
-    std::uint32_t current_ = 0;
-    std::uint64_t changes_ = 0;
+    std::uint32_t current_ = 0; ///< phase of the last classification
 };
 
 } // namespace pgss::core

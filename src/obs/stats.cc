@@ -14,7 +14,7 @@ namespace
 
 // One lock for every Group mutation in the process: registration is
 // rare (component construction) and may race when worker threads build
-// engines concurrently (bench::runEntriesParallel), while dumps/lookups
+// engines concurrently (bench::runSuite), while dumps/lookups
 // run after workers join. A single coarse mutex keeps the hot read
 // paths untouched.
 std::mutex g_registration_mutex;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Host-side parallelism for the bench harness, which simulates
- * independent workloads concurrently (bench::runEntriesParallel,
+ * independent workloads concurrently (bench::runSuite,
  * PGSS_JOBS). Deliberately minimal — no futures, no work stealing:
  * parallelFor() starts its threads, spreads the indices over them and
  * joins them. Determinism is the caller's job; the idiom is to

@@ -30,34 +30,27 @@ constexpr double thresh = 0.1 * M_PI;
 TEST(PhaseTable, FirstVectorCreatesPhaseZero)
 {
     PhaseTable t;
-    const MatchResult m = t.classify(unit(0), thresh);
-    EXPECT_TRUE(m.created);
-    EXPECT_FALSE(m.changed);
-    EXPECT_EQ(m.phase_id, 0u);
+    EXPECT_EQ(t.size(), 0u);
+    EXPECT_EQ(t.classify(unit(0), thresh), 0u);
     EXPECT_EQ(t.size(), 1u);
-    EXPECT_EQ(t.phaseChanges(), 0u);
 }
 
 TEST(PhaseTable, SimilarVectorStaysInPhase)
 {
     PhaseTable t;
     t.classify(unit(0), thresh);
-    const MatchResult m = t.classify(unit(0, 0.05), thresh);
-    EXPECT_FALSE(m.created);
-    EXPECT_FALSE(m.changed);
-    EXPECT_EQ(m.phase_id, 0u);
-    EXPECT_EQ(t.phase(0).memberPeriods(), 2u);
+    EXPECT_EQ(t.classify(unit(0, 0.05), thresh), 0u);
+    EXPECT_EQ(t.size(), 1u);
+    // The member moved the centroid toward itself.
+    EXPECT_GT(t.phase(0).centroid()[1], 0.0);
 }
 
 TEST(PhaseTable, OrthogonalVectorCreatesNewPhase)
 {
     PhaseTable t;
     t.classify(unit(0), thresh);
-    const MatchResult m = t.classify(unit(1), thresh);
-    EXPECT_TRUE(m.created);
-    EXPECT_TRUE(m.changed);
-    EXPECT_EQ(m.phase_id, 1u);
-    EXPECT_EQ(t.phaseChanges(), 1u);
+    EXPECT_EQ(t.classify(unit(1), thresh), 1u);
+    EXPECT_EQ(t.size(), 2u);
 }
 
 TEST(PhaseTable, ReturningToKnownPhaseMatchesIt)
@@ -65,12 +58,8 @@ TEST(PhaseTable, ReturningToKnownPhaseMatchesIt)
     PhaseTable t;
     t.classify(unit(0), thresh);
     t.classify(unit(1), thresh);
-    const MatchResult m = t.classify(unit(0, 0.02), thresh);
-    EXPECT_FALSE(m.created);
-    EXPECT_TRUE(m.changed);
-    EXPECT_EQ(m.phase_id, 0u);
+    EXPECT_EQ(t.classify(unit(0, 0.02), thresh), 0u);
     EXPECT_EQ(t.size(), 2u);
-    EXPECT_EQ(t.phaseChanges(), 2u);
 }
 
 TEST(PhaseTable, NearestPhaseWinsOnFullScan)
@@ -83,16 +72,7 @@ TEST(PhaseTable, NearestPhaseWinsOnFullScan)
     v[1] = 1.0;
     v[0] = 0.15;
     pgss::bbv::normalizeL2(v);
-    const MatchResult m = t.classify(v, thresh);
-    EXPECT_EQ(m.phase_id, 1u);
-}
-
-TEST(PhaseTable, AngleToLastReported)
-{
-    PhaseTable t;
-    t.classify(unit(0), thresh);
-    const MatchResult m = t.classify(unit(1), thresh);
-    EXPECT_NEAR(m.angle_to_last, M_PI / 2.0, 1e-9);
+    EXPECT_EQ(t.classify(v, thresh), 1u);
 }
 
 TEST(PhaseTable, ThresholdControlsGranularity)
@@ -140,19 +120,19 @@ TEST(PhaseTable, CompareLastFirstSkipsFullScan)
     // Now classify a vector closer to phase 1 but still within the
     // wide threshold of phase 0 (the current phase).
     const auto v = unit(0, 0.5);
-    EXPECT_EQ(with.classify(v, wide).phase_id, 0u);
-    EXPECT_EQ(without.classify(v, wide).phase_id, 1u);
+    EXPECT_EQ(with.classify(v, wide), 0u);
+    EXPECT_EQ(without.classify(v, wide), 1u);
 }
 
 TEST(PhaseTable, ManyPhasesStableIds)
 {
     PhaseTable t;
     for (int axis = 0; axis < 4; ++axis)
-        EXPECT_EQ(t.classify(unit(axis), thresh).phase_id,
+        EXPECT_EQ(t.classify(unit(axis), thresh),
                   static_cast<std::uint32_t>(axis));
     // Revisit in reverse order: ids stable.
     for (int axis = 3; axis >= 0; --axis)
-        EXPECT_EQ(t.classify(unit(axis), thresh).phase_id,
+        EXPECT_EQ(t.classify(unit(axis), thresh),
                   static_cast<std::uint32_t>(axis));
     EXPECT_EQ(t.size(), 4u);
 }
@@ -166,6 +146,4 @@ TEST(Phase, SampleBookkeeping)
     EXPECT_EQ(p.sampleCount(), 2u);
     EXPECT_EQ(p.lastSampleOp(), 2000u);
     EXPECT_NEAR(p.cpi().mean(), 1.6, 1e-12);
-    p.addOps(500);
-    EXPECT_EQ(p.ops(), 500u);
 }

@@ -5,9 +5,10 @@
  * (tests/data/results_fingerprint.txt). Performance refactors must
  * leave it unchanged; a deliberate behaviour change refreshes the
  * golden in the open. Per program it records the PGSS(1M, 0.05 pi)
- * CPI estimate, detailed ops, phase count and per-phase sample counts;
- * the SMARTS and TurboSMARTS CPI estimates, and TurboSMARTS's estimate
- * and sample count at a looser target that stops it early; the
+ * CPI estimate, detailed ops, phase count and phase changes, and the
+ * per-phase sample counts, periods and ops; the SMARTS and TurboSMARTS
+ * CPI estimates, and TurboSMARTS's estimate and sample count at a
+ * looser target that stops it early; the
  * SimPoint (100k ops, k=10) and Online SimPoint (500k ops, 0.1 pi) CPI
  * estimates; the ground-truth CPI of a 100k-op interval profile; and
  * the cache and branch-unit counters after a FunctionalWarm run to
@@ -89,6 +90,13 @@ fingerprint(const std::string &name)
            << "  pgss.phase_samples";
         for (const core::PhaseSummary &p : r.phases)
             os << " " << p.samples;
+        os << "\n  pgss.phase_changes " << r.n_phase_changes << "\n"
+           << "  pgss.phase_periods";
+        for (const core::PhaseSummary &p : r.phases)
+            os << " " << p.member_periods;
+        os << "\n  pgss.phase_ops";
+        for (const core::PhaseSummary &p : r.phases)
+            os << " " << p.ops;
         os << "\n";
     }
     {
